@@ -19,6 +19,7 @@ boundary rays classify as indefinite.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,14 +163,25 @@ def h1_signed(s_total: float, volume: float, n_half: int) -> float:
     """Signed Einstein-Hilbert value sign(S) * |S|^(n+1) / V^n.
 
     `s_total` and `volume` are user-supplied totals for a Sasaki manifold
-    of dimension 2*n_half + 1; they are not computed here.
+    of dimension 2*n_half + 1; they are not computed here. Non-finite
+    totals, and values beyond double precision, are invalid parameters.
     """
     _require_positive_int(n_half, "n_half")
     volume = float(volume)
+    s_total = float(s_total)
+    if not (math.isfinite(s_total) and math.isfinite(volume)):
+        raise InvalidParameterError(f"s and volume must be finite, got s={s_total}, volume={volume}")
     if not volume > 0:
         raise NonpositiveVolumeError(f"volume must be positive, got {volume}")
-    s_total = float(s_total)
     if s_total == 0.0:
         return 0.0
     sign = 1.0 if s_total > 0 else -1.0
-    return sign * abs(s_total) ** (n_half + 1) / volume**n_half
+    try:
+        value = sign * abs(s_total) ** (n_half + 1) / volume**n_half
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParameterError(
+            f"h1 computation overflows double precision at s={s_total}, volume={volume}, n_half={n_half}"
+        )
+    return value

@@ -3,7 +3,8 @@
 Every command is a thin composition of library operations; no math lives
 here. Output is deterministic (see `emit`). Exit codes: 0 success, 2
 input validation error, 3 mathematical precondition failure, 4 golden
-replay mismatch.
+replay mismatch, 5 metric profile whose certificate failed (the profile
+and its report are still written).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .classifier import classify_ray, h1_signed, positivity_range, whole_cone_ru
 from .core import BaseManifold, JoinParams, ReebRay, parse_base, validate_join
 from .emit import emit_csv, emit_json
 from .errors import (
+    EXIT_CERTIFICATE,
     EXIT_MISMATCH,
     EXIT_OK,
     InvalidParameterError,
@@ -279,15 +281,16 @@ def _profile_result(
     if extra_report:
         report.update(extra_report)
     stderr = emit_json(report)
+    code = EXIT_OK if profile.report.all_ok else EXIT_CERTIFICATE
     if out == "json":
         record = dict(report)
         record["samples"] = profile.samples
-        return CommandResult(stdout=emit_json(record), stderr=stderr)
+        return CommandResult(stdout=emit_json(record), stderr=stderr, code=code)
     csv = emit_csv(
         ("z", "F", "Theta", "ricci_h", "ricci_v"),
         ((s.z, s.f, s.theta, s.ricci_h, s.ricci_v) for s in profile.samples),
     )
-    return CommandResult(stdout=csv, stderr=stderr)
+    return CommandResult(stdout=csv, stderr=stderr, code=code)
 
 
 def _cmd_metric(args: argparse.Namespace) -> CommandResult:
@@ -338,14 +341,26 @@ def _cmd_replay(args: argparse.Namespace) -> CommandResult:
     return CommandResult(stdout="\n".join(lines) + "\n", code=code)
 
 
-def _entry_to_argv(entry: dict) -> list[str]:
+def _option_names(parser: argparse.ArgumentParser) -> dict[str, dict[str, str]]:
+    """For each subcommand, its option strings by argparse dest."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {a.dest: a.option_strings[-1] for a in p._actions if a.option_strings}
+        for command, p in sub.choices.items()
+    }
+
+
+def _entry_to_argv(entry: dict, options: dict[str, dict[str, str]]) -> list[str]:
+    """argv for one config entry; keys are argparse dests or option names."""
     if "command" not in entry:
         raise InvalidParameterError("each config entry needs a 'command' key")
-    argv = [str(entry["command"])]
+    command = str(entry["command"])
+    flags = options.get(command, {})
+    argv = [command]
     for key, value in entry.items():
         if key == "command":
             continue
-        flag = "--" + str(key).replace("_", "-")
+        flag = flags.get(key, "--" + str(key).replace("_", "-"))
         argv += [flag, str(value)]
     return argv
 
@@ -356,10 +371,11 @@ def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
     entries = payload["commands"] if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise InvalidParameterError("config must be a list of commands or {'commands': [...]}")
+    options = _option_names(parser)
     results = []
     worst = EXIT_OK
     for entry in entries:
-        argv = _entry_to_argv(entry)
+        argv = _entry_to_argv(entry, options)
         try:
             ns = parser.parse_args(argv)
             res = ns.handler(ns)

@@ -5,7 +5,9 @@ inputs never described a legal object (bad integers, non-coprime pairs,
 smoothness violations), while `PreconditionError` means the inputs were
 well formed but an operation's mathematical precondition failed (product
 rays, non-Fano bases, odd bouquet totals, and so on). The CLI maps the
-families to distinct exit codes so scripts can tell them apart.
+families to distinct exit codes so scripts can tell them apart. A built
+metric profile whose certificate fails is not an exception: the CLI still
+writes it, and exits with `EXIT_CERTIFICATE`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
+EXIT_CERTIFICATE = 5
 
 
 class SasconeError(Exception):

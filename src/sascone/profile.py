@@ -31,27 +31,37 @@ and the metric has positive Ricci curvature iff the two integer box
 conditions (I_N/n - 1/m2)*n > 0 and (I_N/n + 1/m1)*n > 0 hold; the third
 condition, that F'/p has negative derivative, holds by construction.
 
-Numerics. All integrals have closed forms. For |k| >= 0.5 they are
-evaluated with exponential antiderivatives (integration by parts on
-t**j * exp(-k*t)). For 0 < |k| < 0.5 that route loses digits to
-cancellation in 1/(exp(k) - exp(-k)), so f and F switch to a power
-series in k around the k = 0 branch: with moments M_i(z) of t**i * p(t),
+Numerics. All integrals have closed forms in a = 1/m1, b = 1/m2, the
+moments M_i(z) of t**i * p(t) from -1 to z, and E(z), the integral of
+exp(-k*t) * p(t) from -1 to z:
 
-    F(z; k) = (sum over i >= 1 of k**(i-1)/i! *
-               ((a+b)*(-1)**i * M_i(z) - (a + (-1)**i * b) * M_0(z)))
-              * (k / sinh k),   a = 1/m1, b = 1/m2,
+    F(z; k) = ((a+b) * E(z) - (a*exp(k) + b*exp(-k)) * M_0(z)) / sinh k.
 
-whose i = 0 term cancels exactly; the series is evaluated to machine
-precision (it extends the first-order-in-k correction to all orders).
-Everything is pure and reentrant; sampling a grid is embarrassingly
-parallel. Exact quadrature of these closed forms is cross-checked against
-adaptive numerical quadrature in the test suite only.
+For each k this is written once as F(z; k) = exp(-k*z) * Q(z) + R(z) with
+polynomials Q and R (`_Root`):
+
+* |k| >= 0.5: E = -exp(-k*z) * S(z) + exp(k) * S(-1), where S solves
+  k*S - S' = p, so Q and R have degree at most d_n and d_n + 1;
+* 0 < |k| < 0.5: that route loses digits to cancellation in 1/sinh k.
+  Taking M_0 out of E instead gives
+      F = ((a+b) * D(z) - (a*expm1(k) + b*expm1(-k)) * M_0(z)) / sinh k
+  with D(z) the integral of expm1(-k*t) * p(t) from -1 to z, summed term
+  by term from the Taylor series of expm1 to machine precision; Q = 0
+  and R collects the series in powers of z;
+* k = 0: Q = 0 and R = (b - a) * M_0 - (a+b) * M_1 exactly.
+
+The root solver evaluates f(k) = F(1; k) through the same form. After the
+root k* is found, Q and R are built once and each grid point costs one
+exponential u and Horner sums of Q and R; g and dg/dt are affine in the
+same u. Everything is pure and reentrant. Exact quadrature of these
+closed forms is cross-checked against adaptive numerical quadrature in
+the test suite only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -123,10 +133,16 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Numerical certificate attached to a built profile."""
+    """Numerical certificate attached to a built profile.
+
+    `kernel` names the branch of F that ran at the root: "zero", "series"
+    or "closed". `endpoints_ok` and `all_ok` are derived from the other
+    fields on construction.
+    """
 
     grid_size: int
     root: SolveDiagnostics
+    kernel: str
     endpoint_f_lo: float
     endpoint_f_hi: float
     fprime_lo_residual: float
@@ -143,18 +159,19 @@ class VerificationReport:
     ke_balance: float
     is_ke: bool
     synthetic_dimension: bool
+    endpoints_ok: bool = field(init=False)
+    all_ok: bool = field(init=False)
 
-    @property
-    def endpoints_ok(self) -> bool:
-        return (
+    def __post_init__(self) -> None:
+        endpoints_ok = (
             max(self.endpoint_f_lo, self.endpoint_f_hi) <= 1e-10
             and max(self.fprime_lo_residual, self.fprime_hi_residual) <= 1e-10
         )
-
-    @property
-    def all_ok(self) -> bool:
         coeffs_ok = not self.box_ok or (self.horizontal_positive and self.vertical_positive)
-        return self.endpoints_ok and self.interior_positive and self.g_monotone and coeffs_ok
+        object.__setattr__(self, "endpoints_ok", endpoints_ok)
+        object.__setattr__(
+            self, "all_ok", endpoints_ok and self.interior_positive and self.g_monotone and coeffs_ok
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,84 +208,180 @@ def g_dt(t: float, k: float, m1: int, m2: int) -> float:
     return -(1.0 / m1 + 1.0 / m2) * (k / math.sinh(k)) * math.exp(-k * t)
 
 
-class _Kernel:
-    """Closed-form integrals of g(t, k) * p(t) for fixed (m1, m2, r, d_n)."""
+def _horner(coeffs: Sequence[float], z: float) -> float:
+    """Value at z of the polynomial with ascending coefficients `coeffs`."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
-    __slots__ = ("alpha", "beta", "coeffs", "q_total")
+
+def _horner_grid(coeffs: Sequence[float], zs: list[float]) -> list[float]:
+    """`_horner` at every point of `zs`, one pass over the grid per coefficient."""
+    acc = [coeffs[-1]] * len(zs)
+    for c in reversed(coeffs[:-1]):
+        acc = [x * z + c for x, z in zip(acc, zs)]
+    return acc
+
+
+def _vanish_at_minus_one(poly: list[float]) -> list[float]:
+    """Set the constant term of `poly` so that its value at -1 is 0."""
+    poly[0] = 0.0
+    poly[0] = -_horner(poly, -1.0)
+    return poly
+
+
+class _Kernel:
+    """Polynomial data of g(t, k) * p(t) for fixed (m1, m2, r, d_n)."""
+
+    __slots__ = ("alpha", "beta", "coeffs", "m0", "q_total")
 
     def __init__(self, m1: int, m2: int, r: float, d_n: int) -> None:
         self.alpha = 1.0 / m1
         self.beta = 1.0 / m2
         self.coeffs = [math.comb(d_n, p) * r**p for p in range(d_n + 1)]
-        self.q_total = self.moment(1.0, 0)
+        self.m0 = self.moment(0)
+        self.q_total = _horner(self.m0, 1.0)
 
-    def moment(self, z: float, i: int) -> float:
-        """M_i(z) = integral of t**i * p(t) from -1 to z."""
-        acc = 0.0
-        for p, c in enumerate(self.coeffs):
-            e = i + p + 1
-            acc += c * (z**e - (-1.0) ** e) / e
-        return acc
-
-    def _exp_integral(self, z: float, k: float) -> float:
-        """E(z; k) = integral of exp(-k*t) * p(t) from -1 to z, |k| >= cutoff."""
-        sum_z = 0.0
-        sum_lo = 0.0
-        for p, c in enumerate(self.coeffs):
-            a = 1.0 / k
-            acc_z = 0.0
-            acc_lo = 0.0
-            for i in range(p + 1):
-                e = p - i
-                acc_z += a * z**e
-                acc_lo += a * (-1.0) ** e
-                a *= e / k
-            sum_z += c * acc_z
-            sum_lo += c * acc_lo
-        return -math.exp(-k * z) * sum_z + math.exp(k) * sum_lo
-
-    def big_f(self, z: float, k: float) -> float:
-        """F(z; k) = integral of g(t, k) * p(t) from -1 to z."""
-        if k == 0.0:
-            return (self.beta - self.alpha) * self.moment(z, 0) - (
-                self.alpha + self.beta
-            ) * self.moment(z, 1)
-        if abs(k) < _SERIES_CUTOFF:
-            return self._series_f(z, k)
-        ek = math.exp(k)
-        num = (self.alpha + self.beta) * self._exp_integral(z, k) - (
-            self.alpha * ek + self.beta / ek
-        ) * self.moment(z, 0)
-        return num / math.sinh(k)
-
-    def _series_f(self, z: float, k: float) -> float:
-        m0 = self.moment(z, 0)
-        ab = self.alpha + self.beta
-        amb = self.alpha - self.beta
-        cmax = 2.0 * ab * self.q_total
-        acc = 0.0
-        kpow = 1.0
-        fact = 1.0
-        for i in range(1, _SERIES_TERMS):
-            fact *= i
-            mi = self.moment(z, i)
-            if i % 2 == 0:
-                ci = ab * (mi - m0)
-            else:
-                ci = -ab * mi - amb * m0
-            acc += kpow * ci / fact
-            kpow *= k
-            # Tail bound: |c_i| <= 2*(a+b)*int(p) and terms shrink by at
-            # least |k|/(i+1) < 1/2, so the remainder is below twice the
-            # next-term bound. Stop once it is negligible against acc,
-            # with a hard floor for the acc == 0 endpoints.
-            tail = abs(kpow) * cmax / fact
-            if tail <= 1e-16 * abs(acc) or abs(kpow) <= 1e-30 * fact:
-                break
-        return acc * (k / math.sinh(k))
+    def moment(self, i: int) -> list[float]:
+        """Ascending coefficients of M_i(z) = integral of t**i * p(t) from -1 to z."""
+        poly = [0.0] * (i + 1) + [c / e for e, c in enumerate(self.coeffs, i + 1)]
+        return _vanish_at_minus_one(poly)
 
     def f(self, k: float) -> float:
-        return self.big_f(1.0, k)
+        """f(k) = F(1; k)."""
+        return _Root(self, k).big_f(1.0)
+
+
+class _Root:
+    """F(z; k) at one fixed k, as exp(-k*z) * Q(z) + R(z); see "Numerics".
+
+    Q and R are polynomials with ascending coefficients `q` and `r`, and Q
+    is empty off the closed-form branch. This constructor is the only
+    place that writes F's closed form and its series; `kind` names the
+    branch: "zero" (k = 0), "series" (|k| < 0.5) or "closed".
+    """
+
+    __slots__ = ("k", "kind", "q", "r")
+
+    def __init__(self, kern: _Kernel, k: float) -> None:
+        a, b = kern.alpha, kern.beta
+        ab = a + b
+        self.k = k
+        if k == 0.0:
+            # The limit k -> 0: F = (b - a) * M_0 - (a + b) * M_1.
+            self.kind = "zero"
+            self.q = []
+            self.r = [(b - a) * m0 - ab * m1 for m0, m1 in zip(kern.m0 + [0.0], kern.moment(1))]
+            return
+        sk = math.sinh(k)
+        if abs(k) < _SERIES_CUTOFF:
+            # The series form of "Numerics", scaled so that no step divides
+            # by a tiny sinh k alone: with scale = k / sinh k,
+            #   F = scale * ((a+b) * D/k - (a*expm1(k) + b*expm1(-k))/k * M_0),
+            # and D/k is integrated term by term from
+            #   expm1(-k*t)/k = sum over i >= 1 of (-1)**i * k**(i-1) * t**i / i!.
+            # The terms shrink by |k|/(i+1) < 1/2. A term count shared by
+            # every z cannot stop relative to F(z), which is 0 at both
+            # endpoints, so the series stops once |k|**i <= 1e-30 * i!.
+            self.kind = "series"
+            self.q = []
+            scale = k / sk
+            ab_s = ab * scale
+            weights = [0.0]  # (a+b) * scale * (-1)**i * k**(i-1) / i!, by power i of t
+            kpow = -1.0
+            fact = 1.0
+            for i in range(1, _SERIES_TERMS):
+                fact *= i
+                weights.append(ab_s * kpow / fact)
+                kpow *= -k
+                if abs(kpow) <= 1e-30 * fact:
+                    break
+            width = len(weights)
+            conv = [0.0] * (width + len(kern.coeffs) - 1)
+            for p, c in enumerate(kern.coeffs):
+                conv[p : p + width] = [x + c * w for x, w in zip(conv[p : p + width], weights)]
+            poly = [0.0] + [x / e for e, x in enumerate(conv, 1)]
+            m0_weight = scale * (a * (math.expm1(k) / k) + b * (math.expm1(-k) / k))
+            for e, m in enumerate(kern.m0):
+                poly[e] -= m0_weight * m
+            self.r = _vanish_at_minus_one(poly)
+            return
+        # exp(-k*t) * p(t) has the antiderivative -exp(-k*t) * S(t) with
+        # k*S - S' = p, solved from the top coefficient down; Q is
+        # -(a+b)/sinh(k) * S, and the constant of R makes F(-1) = 0.
+        self.kind = "closed"
+        ek = math.exp(k)
+        q_weight = -ab / sk
+        coeffs = kern.coeffs
+        self.q = q = [0.0] * len(coeffs)
+        nxt = q_lo = 0.0
+        for e in range(len(q) - 1, -1, -1):
+            nxt = q[e] = (q_weight * coeffs[e] + (e + 1) * nxt) / k
+            q_lo = nxt - q_lo  # Q(-1) by Horner's rule
+        m0_weight = -(a * ek + b / ek) / sk
+        self.r = r = [m0_weight * m for m in kern.m0]
+        r[0] -= ek * q_lo
+
+    def big_f(self, z: float) -> float:
+        """F(z; k)."""
+        fz = _horner(self.r, z)
+        if self.q:
+            fz += math.exp(-self.k * z) * _horner(self.q, z)
+        return fz
+
+    def sample(self, grid_size: int, params: ProfileParams) -> tuple[list[ProfileSample], list[float]]:
+        """Samples on the uniform grid of [-1, 1], and dg/dt at each of them.
+
+        Each point costs one exponential u and Horner sums of Q and R. g
+        and dg/dt are affine in u:
+
+            g(z)     = g(e) + g_u * (u(z) - u(e))    e = -1 or 1, nearer to z
+            dg/dt(z) = dg_u * u(z) + dg_0
+
+        with u = exp(-k*z) on the closed-form branch, expm1(-k*z) on the
+        series branch and z at k = 0; g(-1) = 2/m2 and g(1) = -2/m1.
+        Anchoring g at the nearer endpoint keeps its endpoint values exact.
+        """
+        k = self.k
+        a, b = 1.0 / params.m1, 1.0 / params.m2
+        ab = a + b
+        last = grid_size - 1
+        zs = [(2.0 * idx) / last - 1.0 for idx in range(grid_size)]
+        if self.kind == "zero":
+            us = zs
+            u_lo, u_hi = -1.0, 1.0
+            g_u = dg_0 = -ab
+            dg_u = 0.0
+        else:
+            sk = math.sinh(k)
+            g_u = ab / sk
+            dg_u = -ab * (k / sk)
+            nk = -k
+            if self.kind == "series":
+                us = [math.expm1(nk * z) for z in zs]
+                u_lo, u_hi = math.expm1(k), math.expm1(nk)
+                dg_0 = dg_u
+            else:
+                us = [math.exp(nk * z) for z in zs]
+                u_lo, u_hi = math.exp(k), math.exp(nk)
+                dg_0 = 0.0
+        fs = _horner_grid(self.r, zs)
+        if self.q:
+            fs = [f + u * q for f, u, q in zip(fs, us, _horner_grid(self.q, zs))]
+        r, d_n = params.r, params.d_n
+        g_lo, g_hi = 2.0 * b, -2.0 * a
+        h0 = params.fano_index / params.n
+        dgs = [dg_u * u + dg_0 for u in us]
+        samples = list(map(ProfileSample._make, zip(
+            zs,
+            fs,
+            [f / (1.0 + r * z) ** d_n for z, f in zip(zs, fs)],
+            [h0 - 0.5 * (g_lo + g_u * (u - u_lo) if z < 0.0 else g_hi + g_u * (u - u_hi))
+             for z, u in zip(zs, us)],
+            [-0.5 * dg for dg in dgs],
+        )))
+        return samples, dgs
 
 
 def _kernel(params: ProfileParams) -> _Kernel:
@@ -282,7 +395,7 @@ def f_of_k(k: float, params: ProfileParams) -> float:
 
 def profile_F(z: float, k: float, params: ProfileParams) -> float:
     """The profile F(z) = integral of g(t, k) * p(t) from -1 to z."""
-    return _kernel(params).big_f(float(z), float(k))
+    return _Root(_kernel(params), float(k)).big_f(float(z))
 
 
 def _solve_k(kern: _Kernel, tol_rel: float) -> SolveDiagnostics:
@@ -367,27 +480,10 @@ def build_profile(
     k = diag.k
     m1, m2, r, d_n, n, fano = params.m1, params.m2, params.r, params.d_n, params.n, params.fano_index
 
-    samples: list[ProfileSample] = []
-    interior_min = math.inf
-    max_gdt = -math.inf
-    last = grid_size - 1
-    for idx in range(grid_size):
-        z = (2.0 * idx) / last - 1.0
-        fz = kern.big_f(z, k)
-        gz = g_func(z, k, m1, m2)
-        dgz = g_dt(z, k, m1, m2)
-        samples.append(
-            ProfileSample(
-                z=z,
-                f=fz,
-                theta=fz / weight_poly(z, r, d_n),
-                ricci_h=fano / n - 0.5 * gz,
-                ricci_v=-0.5 * dgz,
-            )
-        )
-        if 0 < idx < last:
-            interior_min = min(interior_min, fz)
-        max_gdt = max(max_gdt, dgz)
+    root = _Root(kern, k)
+    samples, dgs = root.sample(grid_size, params)
+    interior_min = min([s.f for s in samples[1:-1]])
+    max_gdt = max(dgs)
 
     p_lo = weight_poly(-1.0, r, d_n)
     p_hi = weight_poly(1.0, r, d_n)
@@ -395,6 +491,7 @@ def build_profile(
     report = VerificationReport(
         grid_size=grid_size,
         root=diag,
+        kernel=root.kind,
         endpoint_f_lo=abs(samples[0].f),
         endpoint_f_hi=abs(samples[-1].f),
         fprime_lo_residual=abs(g_func(-1.0, k, m1, m2) - 2.0 / m2) * p_lo,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import sascone.cli as cli
+from sascone.errors import EXIT_CERTIFICATE, EXIT_VALIDATION
 from sascone.goldens import GoldenCheck
 
 
@@ -135,6 +136,34 @@ def test_metric_from_ray():
     assert report["report"]["box_ok"] is True
 
 
+def test_metric_report_carries_verdicts_and_kernel():
+    r = run_cli(
+        "metric", "--m1", "3", "--m2", "2", "--r", "-0.5", "--dN", "1",
+        "--fano-index", "2", "--n", "-4", "--grid", "11",
+    )
+    report = json.loads(r.stderr)["report"]
+    assert report["all_ok"] is True and report["endpoints_ok"] is True
+    assert report["kernel"] == "closed"
+    r = run_cli(
+        "metric", "--m1", "1", "--m2", "1", "--r", "0.5", "--dN", "0",
+        "--fano-index", "2", "--n", "1", "--grid", "5", "--out", "json",
+    )
+    assert json.loads(r.stdout)["report"]["kernel"] == "zero"
+
+
+def test_failed_certificate_exit_code():
+    # k* is about 450 on this far ray; dg/dt underflows at z = 1
+    r = run_cli(
+        "metric-from-ray", "--l1", "1", "--l2", "1", "--w1", "7", "--w2", "1",
+        "--v1", "600", "--v2", "1",
+    )
+    assert r.returncode == EXIT_CERTIFICATE == 5
+    assert r.stdout.startswith("z,F,Theta,ricci_h,ricci_v\n")
+    assert len(r.stdout.splitlines()) == 202
+    report = json.loads(r.stderr)["report"]
+    assert report["all_ok"] is False and report["g_monotone"] is False
+
+
 def test_bouquet_join_mode():
     r = run_cli("bouquet", "--l1", "1", "--l2", "3", "--w1", "7", "--w2", "1")
     payload = json.loads(r.stdout)
@@ -151,6 +180,24 @@ def test_bouquet_partition_mode():
 def test_h1_command():
     r = run_cli("h1", "--s", "-2", "--volume", "4", "--n-half", "1")
     assert json.loads(r.stdout)["h1_signed"] == -1
+
+
+def test_h1_rejects_nan():
+    r = run_cli("h1", "--s", "nan", "--volume", "1", "--n-half", "1")
+    assert r.returncode == EXIT_VALIDATION
+    assert "InvalidParameterError" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_h1_rejects_overflow():
+    r = run_cli("h1", "--s", "1e300", "--volume", "1e-300", "--n-half", "3")
+    assert r.returncode == EXIT_VALIDATION
+    assert "InvalidParameterError" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_h1_rejects_infinite_volume():
+    r = run_cli("h1", "--s", "1", "--volume", "inf", "--n-half", "1")
+    assert r.returncode == EXIT_VALIDATION
+    assert "InvalidParameterError" in r.stderr and r.stdout == ""
 
 
 def test_replay_tables_passes():
@@ -195,6 +242,18 @@ def test_config_batch(tmp_path):
     payload = json.loads(r.stdout)
     assert [e["exit_code"] for e in payload] == [0, 0, 2]
     assert payload[0]["stdout"] == "5 < v1/v2\n"
+
+
+def test_config_batch_accepts_dest_names(tmp_path):
+    config = tmp_path / "batch.json"
+    entry = {"command": "metric", "m1": 3, "m2": 2, "r": -0.5, "d_n": 1,
+             "fano_index": 2, "n": -4, "grid": 5}
+    config.write_text(json.dumps({"commands": [entry]}), encoding="utf-8")
+    r = run_cli("--config", str(config))
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    assert payload[0]["exit_code"] == 0
+    assert json.loads(payload[0]["stderr"])["params"]["d_n"] == 1
 
 
 def test_json_output_byte_identical_between_runs():

@@ -30,6 +30,7 @@ from sascone import (
     validate_join,
     weight_poly,
 )
+from sascone.profile import _kernel, _Root
 from conftest import CP1, GENUS2
 from oracles import g_raw, quad_f, quad_profile_F, sign_changes
 
@@ -198,6 +199,55 @@ class TestBuildProfile:
         assert build_profile(ProfileParams(1, 1, 0, 0.5, 1, 2), grid_size=21).report.is_ke
         assert not build_profile(ProfileParams(1, 1, 0, 0.5, 1, 1), grid_size=21).report.is_ke
         assert not build_profile(ASYM, grid_size=21).report.is_ke
+
+
+class TestSampler:
+    """The per-root sampler against per-point evaluation and quadrature."""
+
+    BELOW, ABOVE = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
+    KINDS = {0.0: "zero", BELOW: "series", 0.5: "closed", ABOVE: "closed", 300.0: "closed"}
+
+    @staticmethod
+    def _close(got, ref, scale):
+        # criterion 4's tolerance
+        return abs(got - ref) <= 1e-10 * max(abs(ref), 1e-2 * scale)
+
+    @pytest.mark.parametrize("d_n", range(5))
+    @pytest.mark.parametrize("k", list(KINDS))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_samples_match_pointwise_and_quadrature(self, d_n, k, sign):
+        k = sign * k
+        params = ProfileParams(m1=3, m2=2, d_n=d_n, r=-0.6, n=-4, fano_index=2)
+        m1, m2, r, n = params.m1, params.m2, params.r, params.n
+        scale = (1.0 / m1 + 1.0 / m2) * 2.0 * (1.0 + abs(r)) ** d_n
+        root = _Root(_kernel(params), k)
+        assert root.kind == self.KINDS[abs(k)]
+        grid = 101
+        samples, dgs = root.sample(grid, params)
+        assert [s.z for s in samples] == [(2.0 * i) / (grid - 1) - 1.0 for i in range(grid)]
+        for s, dg in zip(samples, dgs):
+            f = profile_F(s.z, k, params)
+            assert self._close(s.f, f, scale)
+            assert self._close(s.theta, f / weight_poly(s.z, r, d_n), scale)
+            assert self._close(s.ricci_h, params.fano_index / n - 0.5 * g_func(s.z, k, m1, m2), scale)
+            # ricci_v carries the certificate's sign, so it is compared
+            # relatively, with no absolute floor
+            assert self._close(s.ricci_v, -0.5 * g_dt(s.z, k, m1, m2), 0.0)
+            assert dg == -2.0 * s.ricci_v
+        for i in (0, 1, grid // 4, grid // 2, 3 * grid // 4, grid - 2, grid - 1):
+            z = samples[i].z
+            assert self._close(samples[i].f, quad_profile_F(z, k, m1, m2, r, d_n), scale)
+
+    def test_far_root_profile(self):
+        params = ProfileParams(m1=600, m2=1, d_n=0, r=0.5, n=1, fano_index=1)
+        profile = build_profile(params, grid_size=51)
+        k = profile.k_root
+        assert 290.0 < k < 310.0 and profile.report.kernel == "closed"
+        scale = (1.0 / 600 + 1.0) * 2.0
+        for s in profile.samples[::5]:
+            assert self._close(s.f, profile_F(s.z, k, params), scale)
+            assert self._close(s.f, quad_profile_F(s.z, k, 600, 1, 0.5, 0), scale)
+        assert profile.report.all_ok
 
 
 class TestProfileParamsValidation:
