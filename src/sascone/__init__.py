@@ -20,10 +20,9 @@ from .classifier import (
     positivity_range_raw,
     whole_cone_rules,
 )
-from .core import BaseManifold, JoinParams, Rational, ReebRay, parse_base, validate_join
+from .core import BaseManifold, JoinParams, ReebRay, parse_base, validate_join
 from .errors import (
     BaseMismatchError,
-    BoxViolationError,
     BracketFailureError,
     GoldenMismatchError,
     InvalidParameterError,
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .goldens import CheckOutcome, GoldenCheck, default_checks, replay_tables
 from .profile import (
-    LiftReport,
     MetricProfile,
     ProfileParams,
     ProfileSample,
@@ -50,10 +48,7 @@ from .profile import (
     g_func,
     profile_F,
     profile_params_from_ray,
-    ricci_box_check,
     ricci_box_holds,
-    ricci_coefficients,
-    sasaki_lift_check,
     solve_k,
     weight_poly,
 )
@@ -63,7 +58,6 @@ from .quotient import (
     orb_c1_report,
     orb_fano_predicate,
     quotient_data,
-    quotient_data_raw,
 )
 from .topology import (
     BouquetLabel,
@@ -82,14 +76,12 @@ __all__ = [
     "BaseManifold",
     "BaseMismatchError",
     "BouquetLabel",
-    "BoxViolationError",
     "BracketFailureError",
     "CheckOutcome",
     "GoldenCheck",
     "GoldenMismatchError",
     "InvalidParameterError",
     "JoinParams",
-    "LiftReport",
     "MetricProfile",
     "NonpositiveVolumeError",
     "NotCoprimeError",
@@ -103,7 +95,6 @@ __all__ = [
     "ProfileSample",
     "QuotientData",
     "RangeKind",
-    "Rational",
     "ReebRay",
     "SasconeError",
     "SmoothnessViolationError",
@@ -131,12 +122,8 @@ __all__ = [
     "profile_F",
     "profile_params_from_ray",
     "quotient_data",
-    "quotient_data_raw",
     "replay_tables",
-    "ricci_box_check",
     "ricci_box_holds",
-    "ricci_coefficients",
-    "sasaki_lift_check",
     "solve_k",
     "spin_check",
     "torsion_order",

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import JoinParams, ReebRay, _require_positive_int
-from .errors import BaseMismatchError, InvalidParameterError, NonpositiveVolumeError
+from .errors import InvalidParameterError, NonpositiveVolumeError
+from .topology import c1_gamma_coeff_sphere_join
 
 
 class RangeKind(str, enum.Enum):
@@ -139,13 +141,9 @@ class WholeConeReport:
 
 
 def whole_cone_rules(join: JoinParams) -> WholeConeReport:
-    base = join.base
-    if base.c1_coeff != base.dim_c + 1:
-        raise BaseMismatchError(
-            f"whole-cone rules need a projective-space base, got (dim_c={base.dim_c}, c1_coeff={base.c1_coeff})"
-        )
-    coeff = join.l2 * (base.dim_c + 1) - join.l1 * (join.w1 + join.w2)
-    entire = join.l2 * base.c1_coeff >= join.l1 * join.w1
+    """Raises `BaseMismatchError` unless the base is a projective space."""
+    coeff = c1_gamma_coeff_sphere_join(join.base.dim_c, join)
+    entire = join.l2 * join.base.c1_coeff >= join.l1 * join.w1
     forced = coeff >= 0
     consistent = (entire or not forced) and entire == (
         positivity_range(join).kind is RangeKind.ENTIRE
@@ -159,12 +157,30 @@ def whole_cone_rules(join: JoinParams) -> WholeConeReport:
     )
 
 
+def _frexp_pow(m: float, k: int) -> tuple[float, int]:
+    """m**k as a (mantissa, exponent) pair for 1/2 <= m < 1.
+
+    Powers are taken at most 1000 at a time, so no intermediate leaves
+    the normal range of a double.
+    """
+    if k <= 1000:
+        return math.frexp(m**k)
+    c, ce = math.frexp(m**1000)
+    q, r = divmod(k, 1000)
+    hi, he = _frexp_pow(c, q)
+    lo, le = math.frexp(m**r * hi)
+    return lo, le + he + ce * q
+
+
 def h1_signed(s_total: float, volume: float, n_half: int) -> float:
     """Signed Einstein-Hilbert value sign(S) * |S|^(n+1) / V^n.
 
     `s_total` and `volume` are user-supplied totals for a Sasaki manifold
     of dimension 2*n_half + 1; they are not computed here. Non-finite
     totals, and values beyond double precision, are invalid parameters.
+    When |S|^(n+1) or V^n leaves the normal range, the powers are taken
+    of the binary mantissas of S and V and the exponents are summed
+    exactly, so every representable value is returned.
     """
     _require_positive_int(n_half, "n_half")
     volume = float(volume)
@@ -175,13 +191,24 @@ def h1_signed(s_total: float, volume: float, n_half: int) -> float:
         raise NonpositiveVolumeError(f"volume must be positive, got {volume}")
     if s_total == 0.0:
         return 0.0
-    sign = 1.0 if s_total > 0 else -1.0
+    # Plain powers first: rescaling can change the last bit of a pow result.
+    s_abs, scale = abs(s_total), 0
     try:
-        value = sign * abs(s_total) ** (n_half + 1) / volume**n_half
-    except (OverflowError, ZeroDivisionError):
+        num, den = s_abs ** (n_half + 1), volume**n_half
+    except OverflowError:
+        num = den = 0.0
+    if min(num, den) < sys.float_info.min:
+        m_s, e_s = math.frexp(s_abs)
+        m_v, e_v = math.frexp(volume)
+        num, e_num = _frexp_pow(m_s, n_half + 1)
+        den, e_den = _frexp_pow(m_v, n_half)
+        scale = e_num - e_den + e_s * (n_half + 1) - e_v * n_half
+    try:
+        value = math.ldexp(num / den, scale)
+    except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise InvalidParameterError(
             f"h1 computation overflows double precision at s={s_total}, volume={volume}, n_half={n_half}"
         )
-    return value
+    return math.copysign(value, s_total)

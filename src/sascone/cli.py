@@ -10,6 +10,7 @@ and its report are still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -17,13 +18,15 @@ from fractions import Fraction
 
 from . import __version__
 from .classifier import classify_ray, h1_signed, positivity_range, whole_cone_rules
-from .core import BaseManifold, JoinParams, ReebRay, parse_base, validate_join
+from .core import JoinParams, ReebRay, parse_base, validate_join
 from .emit import emit_csv, emit_json
 from .errors import (
     EXIT_CERTIFICATE,
     EXIT_MISMATCH,
     EXIT_OK,
+    BaseMismatchError,
     InvalidParameterError,
+    OddTotalError,
     SasconeError,
     exit_code_for,
 )
@@ -161,33 +164,27 @@ def _join_record(join: JoinParams) -> dict:
     }
 
 
-def _is_projective(base: BaseManifold) -> bool:
-    return base.c1_coeff == base.dim_c + 1
-
-
 def _cmd_invariants(args: argparse.Namespace) -> CommandResult:
     join, notes = _parse_join(args)
     base = join.base
     record: dict = {"join": _join_record(join), "notes": notes}
     record["torsion_order"] = torsion_order(join)
     record["torsion_caveat"] = base.dim_c == 1
-    if _is_projective(base):
-        p = base.dim_c
-        record["c1_gamma_coeff"] = c1_gamma_coeff_sphere_join(p, join)
-        record["spin"] = spin_check(p, join)
-    else:
+    try:
+        record["c1_gamma_coeff"] = c1_gamma_coeff_sphere_join(base.dim_c, join)
+        record["spin"] = spin_check(base.dim_c, join)
+    except BaseMismatchError:
         record["c1_gamma_coeff"] = None
         record["spin"] = None
         notes.append("c1 coefficient and spin need a projective-space base")
-    if base.dim_c == 1 and base.c1_coeff == 2:
-        if join.l1 * (join.w1 + join.w2) % 2 == 0:
-            record["bouquet"] = bouquet_label(join)
-        else:
-            record["bouquet"] = None
-            notes.append("bouquet labels undefined: l1*(w1+w2) is odd")
-    else:
-        record["bouquet"] = None
+    record["bouquet"] = None
+    if not (base.dim_c == 1 and base.c1_coeff == 2):
         notes.append("bouquet labels not applicable for this base")
+    else:
+        try:
+            record["bouquet"] = bouquet_label(join)
+        except OddTotalError:
+            notes.append("bouquet labels undefined: l1*(w1+w2) is odd")
     if base.is_fano:
         record["b_invariant"] = b_invariant_wcone(join)
     else:
@@ -242,7 +239,7 @@ def _cmd_range(args: argparse.Namespace) -> CommandResult:
     if args.format == "text":
         return CommandResult(stdout=rng.as_text() + "\n")
     record: dict = {"range": encode_range(rng), "notes": notes}
-    if _is_projective(join.base):
+    with contextlib.suppress(BaseMismatchError):  # the rules need a projective-space base
         record["whole_cone"] = whole_cone_rules(join)
     return CommandResult(stdout=emit_json(record))
 
@@ -352,8 +349,8 @@ def _option_names(parser: argparse.ArgumentParser) -> dict[str, dict[str, str]]:
 
 def _entry_to_argv(entry: dict, options: dict[str, dict[str, str]]) -> list[str]:
     """argv for one config entry; keys are argparse dests or option names."""
-    if "command" not in entry:
-        raise InvalidParameterError("each config entry needs a 'command' key")
+    if not isinstance(entry, dict) or "command" not in entry:
+        raise InvalidParameterError(f"config entry {entry!r} is not an object with a 'command' key")
     command = str(entry["command"])
     flags = options.get(command, {})
     argv = [command]
@@ -366,9 +363,12 @@ def _entry_to_argv(entry: dict, options: dict[str, dict[str, str]]) -> list[str]
 
 
 def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entries = payload["commands"] if isinstance(payload, dict) else payload
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing or unreadable file, malformed JSON
+        raise InvalidParameterError(f"cannot read config {path!r}: {exc}") from exc
+    entries = payload.get("commands") if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise InvalidParameterError("config must be a list of commands or {'commands': [...]}")
     options = _option_names(parser)

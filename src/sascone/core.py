@@ -2,8 +2,7 @@
 
 All values are immutable and safe to share between threads. Rational
 arithmetic is `fractions.Fraction`, which keeps numerator/denominator in
-canonical form (gcd 1, positive denominator) by construction; it is
-re-exported as `Rational`.
+canonical form (gcd 1, positive denominator) by construction.
 
 Conventions baked into the types:
 
@@ -29,8 +28,6 @@ from .errors import (
     NotFanoError,
     SmoothnessViolationError,
 )
-
-Rational = Fraction
 
 _BASE_RE = re.compile(r"^(?:cp(?P<p>\d+)|sigma(?P<g>\d+)|custom:(?P<d>\d+):(?P<b>-?\d+))$")
 

@@ -72,13 +72,6 @@ class BracketFailureError(PreconditionError):
     """Root bracketing failed; guards floating-point pathology only."""
 
 
-class BoxViolationError(PreconditionError):
-    """Box conditions hold but a sampled coefficient is not positive.
-
-    This signals a numerical bug, never a legitimate geometric state.
-    """
-
-
 class GoldenMismatchError(SasconeError):
     """A golden-table replay check disagreed with the computed value."""
 

@@ -62,17 +62,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core import JoinParams, ReebRay, _require_positive_int
-from .errors import (
-    BoxViolationError,
-    BracketFailureError,
-    InvalidParameterError,
-    ProductCaseError,
-)
-from .quotient import QuotientData, orb_fano_predicate, quotient_data
+from .errors import BracketFailureError, InvalidParameterError
+from .quotient import QuotientData, quotient_data
 
 DEFAULT_GRID = 201
 _BRACKET_LIMIT = 512.0
@@ -456,13 +450,6 @@ def ricci_box_holds(fano_index: int, n: int, m1: int, m2: int) -> bool:
     return fano_index * m2 > n and fano_index * m1 > -n
 
 
-def ricci_box_check(params: ProfileParams) -> bool:
-    """Box conditions for the profile parameters; the third condition
-    (negative derivative of F'/p) holds for the constructed profile and
-    is verified numerically in its report rather than assumed."""
-    return ricci_box_holds(params.fano_index, params.n, params.m1, params.m2)
-
-
 def build_profile(
     params: ProfileParams, grid_size: int = DEFAULT_GRID, tol_rel: float = 1e-12
 ) -> MetricProfile:
@@ -513,24 +500,6 @@ def build_profile(
     return MetricProfile(params=params, k_root=k, samples=tuple(samples), report=report)
 
 
-def ricci_coefficients(profile: MetricProfile) -> tuple[ProfileSample, ...]:
-    """Samples with their Ricci coefficients, after positivity assertion.
-
-    When the box conditions hold, every sampled horizontal coefficient
-    must satisfy ricci_h * n > 0 and every vertical one ricci_v > 0; a
-    violation is a numerical bug, reported as `BoxViolationError`.
-    """
-    n = profile.params.n
-    if profile.report.box_ok:
-        for s in profile.samples:
-            if not (s.ricci_h * n > 0.0 and s.ricci_v > 0.0):
-                raise BoxViolationError(
-                    f"box conditions hold but sample at z={s.z} has "
-                    f"ricci_h={s.ricci_h}, ricci_v={s.ricci_v}"
-                )
-    return profile.samples
-
-
 def profile_params_from_ray(
     join: JoinParams, ray: ReebRay, r: float | None = None
 ) -> tuple[ProfileParams, QuotientData]:
@@ -547,129 +516,3 @@ def profile_params_from_ray(
         m1=data.m1, m2=data.m2, d_n=join.base.dim_c, r=r, n=data.n, fano_index=fano
     )
     return params, data
-
-
-def _m_theta(m: int, profile: MetricProfile) -> list[float]:
-    return [m * s.theta for s in profile.samples]
-
-
-def _sup_diff(a: Sequence[float], b: Sequence[float]) -> float:
-    return max(abs(x - y) for x, y in zip(a, b))
-
-
-@dataclass(frozen=True, slots=True)
-class LiftRayEntry:
-    ray: ReebRay
-    accepted: bool
-    reason: str | None
-    n: int | None = None
-    m: int | None = None
-    m1: int | None = None
-    m2: int | None = None
-    k_root: float | None = None
-    box_ok: bool | None = None
-    doubling_max_diff: float | None = None
-    l2_variant: int | None = None
-    l2_variant_m: int | None = None
-    l2_variant_max_diff: float | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class LiftNeighborGap:
-    ratio_a: Fraction
-    ratio_b: Fraction
-    ratio_gap: float
-    sup_gap: float
-
-
-@dataclass(frozen=True, slots=True)
-class LiftReport:
-    entries: tuple[LiftRayEntry, ...]
-    neighbor_gaps: tuple[LiftNeighborGap, ...]
-
-
-def _l2_variant_join(join: JoinParams, data: QuotientData, ray: ReebRay):
-    """A second join, equal except for l2, whose quotient along `ray`
-    has a different orbit multiple m. Returns (join, data) or None."""
-    d = join.w1 * ray.v2 - join.w2 * ray.v1
-    for c in range(2, 98):
-        l2c = c * join.l2
-        if math.gcd(join.l1, l2c) != 1 or math.gcd(l2c, join.l1 * join.w1 * join.w2) != 1:
-            continue
-        s = math.gcd(abs(d), l2c)
-        if l2c // s == data.m:
-            continue
-        variant = JoinParams(base=join.base, l1=join.l1, l2=l2c, w1=join.w1, w2=join.w2)
-        return variant, quotient_data(variant, ray)
-    return None
-
-
-def sasaki_lift_check(
-    join: JoinParams,
-    rays: Sequence[ReebRay],
-    r: float | None = None,
-    grid_size: int = DEFAULT_GRID,
-) -> LiftReport:
-    """Check that m * Theta depends only on the ray, not on the orbit data.
-
-    For each ray inside the positivity region the profile is rebuilt with
-    the ramification indices doubled (same quotient, coarser uniformizing
-    orbit) and, when possible, from a different l2 giving a genuinely
-    different m; the sampled m * Theta arrays are compared in sup norm.
-    Rays outside the region are refused. Adjacent accepted rays (ordered
-    by ratio) additionally report the variation of m * Theta against the
-    ratio gap, a finite-difference record of the smooth dependence.
-    """
-    entries: list[LiftRayEntry] = []
-    accepted: list[tuple[Fraction, list[float]]] = []
-    for ray in sorted(rays, key=lambda v: v.ratio):
-        if not orb_fano_predicate(join, ray):
-            entries.append(LiftRayEntry(ray=ray, accepted=False, reason="ray outside positivity region"))
-            continue
-        try:
-            params, data = profile_params_from_ray(join, ray, r=r)
-        except ProductCaseError:
-            entries.append(LiftRayEntry(ray=ray, accepted=False, reason="product case (v = w)"))
-            continue
-        profile = build_profile(params, grid_size=grid_size)
-        base_mtheta = _m_theta(data.m, profile)
-
-        doubled = build_profile(
-            ProfileParams(
-                m1=2 * params.m1, m2=2 * params.m2, d_n=params.d_n,
-                r=params.r, n=params.n, fano_index=params.fano_index,
-            ),
-            grid_size=grid_size,
-        )
-        doubling_diff = _sup_diff(base_mtheta, _m_theta(2 * data.m, doubled))
-
-        variant = _l2_variant_join(join, data, ray)
-        variant_l2 = variant_m = None
-        variant_diff = None
-        if variant is not None:
-            vjoin, vdata = variant
-            vparams, _ = profile_params_from_ray(vjoin, ray, r=params.r)
-            vprofile = build_profile(vparams, grid_size=grid_size)
-            variant_l2, variant_m = vjoin.l2, vdata.m
-            variant_diff = _sup_diff(base_mtheta, _m_theta(vdata.m, vprofile))
-
-        entries.append(
-            LiftRayEntry(
-                ray=ray, accepted=True, reason=None,
-                n=data.n, m=data.m, m1=data.m1, m2=data.m2,
-                k_root=profile.k_root, box_ok=profile.report.box_ok,
-                doubling_max_diff=doubling_diff,
-                l2_variant=variant_l2, l2_variant_m=variant_m,
-                l2_variant_max_diff=variant_diff,
-            )
-        )
-        accepted.append((ray.ratio, base_mtheta))
-
-    gaps = tuple(
-        LiftNeighborGap(
-            ratio_a=ra, ratio_b=rb,
-            ratio_gap=float(rb - ra), sup_gap=_sup_diff(ta, tb),
-        )
-        for (ra, ta), (rb, tb) in zip(accepted, accepted[1:])
-    )
-    return LiftReport(entries=tuple(entries), neighbor_gaps=gaps)

@@ -41,21 +41,6 @@ class QuotientData(NamedTuple):
     m2: int
 
 
-def quotient_data_raw(l1: int, l2: int, w1: int, w2: int, v1: int, v2: int) -> QuotientData:
-    """Ramification formulas on raw integers, without join validation.
-
-    Like `positivity_range_raw` this exists for evaluating the formulas
-    at parameter combinations that are not smooth joins; `quotient_data`
-    is the validated entry point.
-    """
-    d = w1 * v2 - w2 * v1
-    if d == 0:
-        raise ProductCaseError(f"ray ({v1}, {v2}) is proportional to w; quotient degenerates (n = 0)")
-    s = gcd(abs(d), l2)
-    m = l2 // s
-    return QuotientData(s=s, n=l1 * (d // s), m=m, m1=m * v1, m2=m * v2)
-
-
 def quotient_data(join: JoinParams, ray: ReebRay) -> QuotientData:
     """Ramification data of the quotient along `ray`.
 

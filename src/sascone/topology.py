@@ -71,10 +71,9 @@ def bouquet_label(join: JoinParams) -> BouquetLabel:
 
 def bouquet_level_set(k: int, l: int, i: int) -> set[int]:
     """Level set {j in 1..k : gcd(l, 2(k-j)) = i} of the bouquet map."""
-    _require_positive_int(k, "k")
-    _require_positive_int(l, "l")
+    partition = bouquet_partition(k, l)
     _require_positive_int(i, "i")
-    return {j for j in range(1, k + 1) if gcd(l, 2 * (k - j)) == i}
+    return partition.get(i, set())
 
 
 def bouquet_partition(k: int, l: int) -> dict[int, set[int]]:

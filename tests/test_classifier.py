@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sascone import (
     BaseManifold,
     BaseMismatchError,
+    InvalidParameterError,
     NonpositiveVolumeError,
     PositivityRange,
     RangeKind,
@@ -120,6 +122,36 @@ class TestH1Signed:
 
     def test_negative_value(self):
         assert h1_signed(-2.0, 4.0, 1) == -1.0
+
+    @pytest.mark.parametrize("s, v, n", [
+        (1e200, 1e200, 2),  # |S|^(n+1) overflows
+        (1e-200, 1e-200, 2),  # both powers underflow to 0
+        (1e-160, 1e-100, 1),  # |S|^(n+1) is subnormal
+        (-1e-160, 1e-100, 2),
+        (5e-324, 1e-300, 1),
+        (1e10, 1e10, 2500),  # mantissa powers taken in chunks of 1000
+    ])
+    def test_finite_value_despite_intermediates(self, s, v, n):
+        got = h1_signed(s, v, n)
+        oracle = float(Fraction(abs(s)) ** (n + 1) / Fraction(v) ** n)
+        assert math.copysign(1.0, got) == math.copysign(1.0, s)
+        assert abs(abs(got) - oracle) <= (n + 2) * math.ulp(oracle)
+
+    @given(
+        s=st.floats(1e-300, 1e300), v=st.floats(1e-300, 1e300), n=st.integers(1, 6),
+        neg=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_exact_oracle_or_true_overflow(self, s, v, n, neg):
+        try:
+            oracle = float(Fraction(s) ** (n + 1) / Fraction(v) ** n)
+        except OverflowError:
+            with pytest.raises(InvalidParameterError):
+                h1_signed(s, v, n)
+            return
+        got = h1_signed(-s if neg else s, v, n)
+        assert abs(abs(got) - oracle) <= (n + 2) * math.ulp(oracle)
+        assert got == 0.0 or (got < 0) == neg
 
     def test_volume_must_be_positive(self):
         with pytest.raises(NonpositiveVolumeError):

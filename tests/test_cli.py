@@ -256,6 +256,35 @@ def test_config_batch_accepts_dest_names(tmp_path):
     assert json.loads(payload[0]["stderr"])["params"]["d_n"] == 1
 
 
+def _assert_config_rejected(path):
+    r = run_cli("--config", str(path))
+    assert r.returncode == EXIT_VALIDATION
+    assert json.loads(r.stderr)["error"]["type"] == "InvalidParameterError"
+    assert r.stdout == ""
+
+
+def test_config_missing_file(tmp_path):
+    _assert_config_rejected(tmp_path / "absent.json")
+
+
+def test_config_malformed_json(tmp_path):
+    config = tmp_path / "batch.json"
+    config.write_text('{"commands": [', encoding="utf-8")
+    _assert_config_rejected(config)
+
+
+def test_config_without_commands_key(tmp_path):
+    config = tmp_path / "batch.json"
+    config.write_text('{"cmds": []}', encoding="utf-8")
+    _assert_config_rejected(config)
+
+
+def test_config_entry_not_an_object(tmp_path):
+    config = tmp_path / "batch.json"
+    config.write_text("[5]", encoding="utf-8")
+    _assert_config_rejected(config)
+
+
 def test_json_output_byte_identical_between_runs():
     args = ("quotient", "--l1", "1", "--l2", "3", "--w1", "7", "--w2", "1", "--v1", "4", "--v2", "1")
     assert run_cli(*args).stdout == run_cli(*args).stdout

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -7,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sascone import (
-    BoxViolationError,
     BracketFailureError,
     InvalidParameterError,
-    MetricProfile,
     NotFanoError,
     ProductCaseError,
     ProfileParams,
-    ProfileSample,
     ReebRay,
     build_profile,
     f_of_k,
@@ -22,10 +20,7 @@ from sascone import (
     g_func,
     profile_F,
     profile_params_from_ray,
-    ricci_box_check,
     ricci_box_holds,
-    ricci_coefficients,
-    sasaki_lift_check,
     solve_k,
     validate_join,
     weight_poly,
@@ -273,7 +268,7 @@ class TestProfileParamsValidation:
 class TestRicciBox:
     def test_worked_example(self):
         assert ricci_box_holds(2, -4, 3, 2)
-        assert ricci_box_check(ASYM)
+        assert ricci_box_holds(ASYM.fano_index, ASYM.n, ASYM.m1, ASYM.m2)
 
     def test_nonpositive_index_never_passes(self):
         for fano in (0, -1, -5):
@@ -293,7 +288,7 @@ class TestRicciBox:
 class TestRicciCoefficients:
     def test_endpoint_values_match_box_scalars(self):
         profile = build_profile(ASYM, grid_size=11)
-        samples = ricci_coefficients(profile)
+        samples = profile.samples
         n, m1, m2, fano = ASYM.n, ASYM.m1, ASYM.m2, ASYM.fano_index
         assert samples[0].ricci_h == pytest.approx(fano / n - 1.0 / m2, abs=1e-14)
         assert samples[-1].ricci_h == pytest.approx(fano / n + 1.0 / m1, abs=1e-14)
@@ -301,24 +296,19 @@ class TestRicciCoefficients:
 
     def test_center_value_for_flat_symmetric_case(self):
         profile = build_profile(ProfileParams(1, 1, 0, 0.5, 1, 1), grid_size=3)
-        center = ricci_coefficients(profile)[1]
+        center = profile.samples[1]
         assert center.z == 0.0 and center.ricci_h == pytest.approx(1.0, abs=1e-15)
 
     def test_vertical_always_positive(self):
         for params in (SYM, ASYM, ProfileParams(9, 2, 4, 0.9, 7, 3)):
             profile = build_profile(params, grid_size=201)
-            assert all(s.ricci_v > 0 for s in ricci_coefficients(profile))
+            assert all(s.ricci_v > 0 for s in profile.samples)
 
-    def test_box_violation_detected_on_corrupted_profile(self):
-        profile = build_profile(ASYM, grid_size=5)
-        bad = list(profile.samples)
-        bad[2] = ProfileSample(bad[2].z, bad[2].f, bad[2].theta, 0.0, bad[2].ricci_v)
-        corrupted = MetricProfile(
-            params=profile.params, k_root=profile.k_root,
-            samples=tuple(bad), report=profile.report,
-        )
-        with pytest.raises(BoxViolationError):
-            ricci_coefficients(corrupted)
+    @pytest.mark.parametrize("flag", ["horizontal_positive", "vertical_positive"])
+    def test_nonpositive_coefficient_fails_certificate_when_box_holds(self, flag):
+        report = build_profile(ASYM, grid_size=5).report
+        assert report.box_ok and report.all_ok
+        assert not dataclasses.replace(report, **{flag: False}).all_ok
 
 
 class TestLift:
@@ -327,7 +317,7 @@ class TestLift:
         params, data = profile_params_from_ray(join, ReebRay(3, 2))
         assert (data.n, data.m1, data.m2) == (-4, 3, 2)
         assert params.r == -0.5 and params.d_n == 1 and params.fano_index == 2
-        assert ricci_box_check(params)
+        assert ricci_box_holds(params.fano_index, params.n, params.m1, params.m2)
 
     def test_params_from_ray_requires_fano(self):
         join = validate_join(1, 1, 12, 1, GENUS2)
@@ -339,27 +329,16 @@ class TestLift:
         with pytest.raises(ProductCaseError):
             profile_params_from_ray(join, ReebRay(1, 1))
 
-    def test_lift_report(self):
-        join = validate_join(4, 1, 1, 1, CP1)
-        rays = [ReebRay(3, 2), ReebRay(4, 3), ReebRay(5, 4), ReebRay(1, 1)]
-        report = sasaki_lift_check(join, rays, grid_size=101)
-        by_ray = {(e.ray.v1, e.ray.v2): e for e in report.entries}
-        assert not by_ray[(1, 1)].accepted  # product case
-        for key in ((3, 2), (4, 3), (5, 4)):
-            entry = by_ray[key]
-            assert entry.accepted and entry.box_ok
-            assert entry.doubling_max_diff <= 1e-12
-            assert entry.l2_variant is not None and entry.l2_variant_m != entry.m
-            assert entry.l2_variant_max_diff <= 1e-9
-        assert len(report.neighbor_gaps) == 2
-        for gap in report.neighbor_gaps:
-            assert gap.sup_gap <= 2.0 * gap.ratio_gap
-
-    def test_lift_refuses_rays_outside_positivity(self):
-        join = validate_join(1, 1, 7, 1, CP1)
-        report = sasaki_lift_check(join, [ReebRay(1, 1)], grid_size=51)
-        entry = report.entries[0]
-        assert not entry.accepted and "outside" in entry.reason
+    def test_m_theta_independent_of_l2(self):
+        # same ray and quotient, orbit multiples m = l2 = 1 and 3
+        profiles = {}
+        for l2 in (1, 3):
+            params, data = profile_params_from_ray(validate_join(4, l2, 1, 1, CP1), ReebRay(3, 2))
+            profiles[data.m] = build_profile(params, grid_size=101)
+        assert sorted(profiles) == [1, 3]
+        diff = max(abs(a.theta - 3.0 * b.theta)
+                   for a, b in zip(profiles[1].samples, profiles[3].samples))
+        assert diff <= 1e-9
 
     def test_bracket_failure_unreachable_in_range(self):
         # sanity guard: every admissible draw brackets within the cap

@@ -1,0 +1,19 @@
+from __future__ import annotations
+
+import types
+
+import sascone
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sascone.__all__ if not hasattr(sascone, name)]
+    assert missing == []
+    assert len(set(sascone.__all__)) == len(sascone.__all__)
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    imported = {
+        name for name, value in vars(sascone).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert imported == set(sascone.__all__)

@@ -13,7 +13,6 @@ from sascone import (
     orb_c1_report,
     orb_fano_predicate,
     quotient_data,
-    quotient_data_raw,
     validate_join,
 )
 from conftest import CP1, GENUS2, join_strategy, ray_strategy
@@ -28,16 +27,9 @@ def test_quotient_data_direct_evaluation():
     assert data == QuotientData(s=1, n=-1, m=1, m1=2, m2=1)
 
 
-def test_quotient_data_raw_non_smooth_parameters():
-    # formula evaluation at parameters that are not a smooth join
-    assert quotient_data_raw(1, 3, 12, 1, 4, 1) == QuotientData(s=1, n=8, m=3, m1=12, m2=3)
-
-
 def test_quotient_product_case():
     with pytest.raises(ProductCaseError):
         quotient_data(_join(1, 1, 5, 3), ReebRay(5, 3))
-    with pytest.raises(ProductCaseError):
-        quotient_data_raw(2, 1, 5, 3, 5, 3)
 
 
 def test_orb_fano_predicate_examples():
