@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ from .profile import (
 )
 from .quotient import orb_c1_report, quotient_data
 from .topology import (
+    _require_projective_base,
     b_invariant_wcone,
     bouquet_label,
     bouquet_level_set,
@@ -178,13 +180,13 @@ def _cmd_invariants(args: argparse.Namespace) -> CommandResult:
         record["spin"] = None
         notes.append("c1 coefficient and spin need a projective-space base")
     record["bouquet"] = None
-    if not (base.dim_c == 1 and base.c1_coeff == 2):
+    try:
+        _require_projective_base(1, join)
+        record["bouquet"] = bouquet_label(join)
+    except BaseMismatchError:
         notes.append("bouquet labels not applicable for this base")
-    else:
-        try:
-            record["bouquet"] = bouquet_label(join)
-        except OddTotalError:
-            notes.append("bouquet labels undefined: l1*(w1+w2) is odd")
+    except OddTotalError:
+        notes.append("bouquet labels undefined: l1*(w1+w2) is odd")
     if base.is_fano:
         record["b_invariant"] = b_invariant_wcone(join)
     else:
@@ -259,7 +261,9 @@ def _cmd_bouquet(args: argparse.Namespace) -> CommandResult:
     if any(v is None for v in join_flags):
         raise InvalidParameterError("give either --k and --l, or the four join flags")
     join, notes = _parse_join(args)
-    if not (join.base.dim_c == 1 and join.base.c1_coeff == 2):
+    try:
+        _require_projective_base(1, join)
+    except BaseMismatchError:
         return CommandResult(stdout=emit_json({"applicable": False, "reason": "bouquet labels not applicable", "notes": notes}))
     label = bouquet_label(join)
     record = {
@@ -376,13 +380,17 @@ def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
     worst = EXIT_OK
     for entry in entries:
         argv = _entry_to_argv(entry, options)
+        usage = io.StringIO()
         try:
-            ns = parser.parse_args(argv)
+            with contextlib.redirect_stderr(usage):
+                ns = parser.parse_args(argv)
             res = ns.handler(ns)
         except SasconeError as exc:
             res = CommandResult(stdout="", stderr=str(exc), code=exit_code_for(exc))
         except SystemExit as exc:  # argparse rejected the entry's flags
-            res = CommandResult(stdout="", stderr="unparseable command entry",
+            # its last line is the reason; the usage above it wraps to the terminal
+            reason = usage.getvalue().strip().rpartition("\n")[2]
+            res = CommandResult(stdout="", stderr=reason or "unparseable command entry",
                                 code=int(exc.code or 2))
         results.append(
             {"command": entry.get("command"), "exit_code": res.code,

@@ -32,30 +32,35 @@ conditions (I_N/n - 1/m2)*n > 0 and (I_N/n + 1/m1)*n > 0 hold; the third
 condition, that F'/p has negative derivative, holds by construction.
 
 Numerics. All integrals have closed forms in a = 1/m1, b = 1/m2, the
-moments M_i(z) of t**i * p(t) from -1 to z, and E(z), the integral of
+moment M_0(z) of p from -1 to z, and E(z), the integral of
 exp(-k*t) * p(t) from -1 to z:
 
     F(z; k) = ((a+b) * E(z) - (a*exp(k) + b*exp(-k)) * M_0(z)) / sinh k.
 
-For each k this is written once as F(z; k) = exp(-k*z) * Q(z) + R(z) with
-polynomials Q and R (`_Root`):
+For each k this is written once as F(z; k) = u(z) * Q(z) + R(z) with
+u(z) = exp(-k*z - |k|) <= 1 on [-1, 1] and polynomials Q and R (`_Root`).
+Every 1/sinh k enters as lead = exp(|k|)/sinh k = ±2/(1 - exp(-2|k|)),
+so no term overflows for any finite k. Two forms cover every k:
 
-* |k| >= 0.5: E = -exp(-k*z) * S(z) + exp(k) * S(-1), where S solves
-  k*S - S' = p, so Q and R have degree at most d_n and d_n + 1;
-* 0 < |k| < 0.5: that route loses digits to cancellation in 1/sinh k.
-  Taking M_0 out of E instead gives
-      F = ((a+b) * D(z) - (a*expm1(k) + b*expm1(-k)) * M_0(z)) / sinh k
+* closed: E = -exp(-k*z) * S(z) + exp(k) * S(-1), where S solves
+  k*S - S' = p, so Q = -(a+b) * lead * S and R is lead times a multiple
+  of M_0 plus the constant that makes F(-1) = 0;
+* series: Q = 0, and taking M_0 out of E gives
+      F = (k/sinh k) * ((a+b) * D(z)/k - (a*expm1(k)/k + b*expm1(-k)/k) * M_0(z))
   with D(z) the integral of expm1(-k*t) * p(t) from -1 to z, summed term
-  by term from the Taylor series of expm1 to machine precision; Q = 0
-  and R collects the series in powers of z;
-* k = 0: Q = 0 and R = (b - a) * M_0 - (a+b) * M_1 exactly.
+  by term from the Taylor series of expm1 until |k|**i <= 1e-30 * i!;
+  k = 0 is its limit, k/sinh k = 1 and expm1(±k)/k = ±1. The series
+  stays accurate, but its length grows like e*|k|.
 
-The root solver evaluates f(k) = F(1; k) through the same form. After the
-root k* is found, Q and R are built once and each grid point costs one
-exponential u and Horner sums of Q and R; g and dg/dt are affine in the
-same u. Everything is pure and reentrant. Exact quadrature of these
-closed forms is cross-checked against adaptive numerical quadrature in
-the test suite only.
+The closed form cancels when S is large (small |k|, large d_n); its
+rounding error is about eps * sum |Q_j|. It runs when sum |Q_j| <=
+_CONDITION_BOUND * (a+b) * int(p), the scale of F, and the series runs
+otherwise. The root solver evaluates f(k) = F(1; k) through the same
+form. After the root k* is found, Q and R are built once and each grid
+point costs one exponential (two in the series form) and Horner sums of
+Q and R; g and dg/dt are affine in them. Everything is pure and
+reentrant. Exact quadrature of these closed forms is cross-checked
+against adaptive numerical quadrature in the test suite only.
 """
 
 from __future__ import annotations
@@ -69,9 +74,8 @@ from .errors import BracketFailureError, InvalidParameterError
 from .quotient import QuotientData, quotient_data
 
 DEFAULT_GRID = 201
-_BRACKET_LIMIT = 512.0
-_SERIES_CUTOFF = 0.5
-_SERIES_TERMS = 48
+# largest sum |Q_j| / ((a+b) * int(p)) at which the closed form runs
+_CONDITION_BOUND = 512.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,8 +133,8 @@ class SolveDiagnostics:
 class VerificationReport:
     """Numerical certificate attached to a built profile.
 
-    `kernel` names the branch of F that ran at the root: "zero", "series"
-    or "closed". `endpoints_ok` and `all_ok` are derived from the other
+    `kernel` names the form of F that ran at the root: "series" or
+    "closed". `endpoints_ok` and `all_ok` are derived from the other
     fields on construction.
     """
 
@@ -181,25 +185,32 @@ def weight_poly(z: float, r: float, d_n: int) -> float:
     return (1.0 + r * z) ** d_n
 
 
+def _lead(k: float) -> float:
+    """lead = exp(|k|)/sinh k, the anchored form of 1/sinh k; k != 0."""
+    return math.copysign(2.0 / -math.expm1(-2.0 * abs(k)), k)
+
+
+def _k_lead(k: float) -> float:
+    """k * lead, computed from |k| so that it tends to 1 as k -> 0."""
+    return 2.0 * abs(k) / -math.expm1(-2.0 * abs(k)) if k else 1.0
+
+
 def g_func(t: float, k: float, m1: int, m2: int) -> float:
     """Transition function g(t, k); see the module docstring.
 
-    Evaluated through exp * sinh products so that small |k| loses no
-    precision; at k = 0 the linear branch is exact.
+    Evaluated as g(e) + (a+b) * lead * expm1(-k*t - |k|), anchored at the
+    endpoint e = -sign(k) where the exponent is 0, so small |k| loses no
+    precision and no term overflows; at k = 0 the linear branch is exact.
     """
     if k == 0.0:
         return (1.0 - t) / m2 - (1.0 + t) / m1
-    sk = math.sinh(k)
-    lo = math.exp(-k * (1.0 + t) * 0.5) * math.sinh(k * (1.0 - t) * 0.5)
-    hi = math.exp(k * (1.0 - t) * 0.5) * math.sinh(k * (1.0 + t) * 0.5)
-    return 2.0 * (lo / m2 - hi / m1) / sk
+    g_e = 2.0 / m2 if k > 0.0 else -2.0 / m1
+    return g_e + (1.0 / m1 + 1.0 / m2) * _lead(k) * math.expm1(-k * t - abs(k))
 
 
 def g_dt(t: float, k: float, m1: int, m2: int) -> float:
     """Partial derivative of g in t; strictly negative for all (t, k)."""
-    if k == 0.0:
-        return -(1.0 / m1 + 1.0 / m2)
-    return -(1.0 / m1 + 1.0 / m2) * (k / math.sinh(k)) * math.exp(-k * t)
+    return -(1.0 / m1 + 1.0 / m2) * _k_lead(k) * math.exp(-k * t - abs(k))
 
 
 def _horner(coeffs: Sequence[float], z: float) -> float:
@@ -234,13 +245,9 @@ class _Kernel:
         self.alpha = 1.0 / m1
         self.beta = 1.0 / m2
         self.coeffs = [math.comb(d_n, p) * r**p for p in range(d_n + 1)]
-        self.m0 = self.moment(0)
+        # ascending coefficients of M_0(z), the integral of p from -1 to z
+        self.m0 = _vanish_at_minus_one([0.0] + [c / e for e, c in enumerate(self.coeffs, 1)])
         self.q_total = _horner(self.m0, 1.0)
-
-    def moment(self, i: int) -> list[float]:
-        """Ascending coefficients of M_i(z) = integral of t**i * p(t) from -1 to z."""
-        poly = [0.0] * (i + 1) + [c / e for e, c in enumerate(self.coeffs, i + 1)]
-        return _vanish_at_minus_one(poly)
 
     def f(self, k: float) -> float:
         """f(k) = F(1; k)."""
@@ -248,12 +255,13 @@ class _Kernel:
 
 
 class _Root:
-    """F(z; k) at one fixed k, as exp(-k*z) * Q(z) + R(z); see "Numerics".
+    """F(z; k) at one fixed k, as u(z) * Q(z) + R(z); see "Numerics".
 
     Q and R are polynomials with ascending coefficients `q` and `r`, and Q
-    is empty off the closed-form branch. This constructor is the only
-    place that writes F's closed form and its series; `kind` names the
-    branch: "zero" (k = 0), "series" (|k| < 0.5) or "closed".
+    is empty in the series form. This constructor is the only place that
+    writes F's closed form and its series; `kind` names the form that
+    ran: "closed" when its cancellation stays within _CONDITION_BOUND,
+    "series" otherwise.
     """
 
     __slots__ = ("k", "kind", "q", "r")
@@ -262,117 +270,100 @@ class _Root:
         a, b = kern.alpha, kern.beta
         ab = a + b
         self.k = k
-        if k == 0.0:
-            # The limit k -> 0: F = (b - a) * M_0 - (a + b) * M_1.
-            self.kind = "zero"
-            self.q = []
-            self.r = [(b - a) * m0 - ab * m1 for m0, m1 in zip(kern.m0 + [0.0], kern.moment(1))]
-            return
-        sk = math.sinh(k)
-        if abs(k) < _SERIES_CUTOFF:
-            # The series form of "Numerics", scaled so that no step divides
-            # by a tiny sinh k alone: with scale = k / sinh k,
-            #   F = scale * ((a+b) * D/k - (a*expm1(k) + b*expm1(-k))/k * M_0),
-            # and D/k is integrated term by term from
-            #   expm1(-k*t)/k = sum over i >= 1 of (-1)**i * k**(i-1) * t**i / i!.
-            # The terms shrink by |k|/(i+1) < 1/2. A term count shared by
-            # every z cannot stop relative to F(z), which is 0 at both
-            # endpoints, so the series stops once |k|**i <= 1e-30 * i!.
-            self.kind = "series"
-            self.q = []
-            scale = k / sk
-            ab_s = ab * scale
-            weights = [0.0]  # (a+b) * scale * (-1)**i * k**(i-1) / i!, by power i of t
-            kpow = -1.0
-            fact = 1.0
-            for i in range(1, _SERIES_TERMS):
-                fact *= i
-                weights.append(ab_s * kpow / fact)
-                kpow *= -k
-                if abs(kpow) <= 1e-30 * fact:
-                    break
-            width = len(weights)
-            conv = [0.0] * (width + len(kern.coeffs) - 1)
-            for p, c in enumerate(kern.coeffs):
-                conv[p : p + width] = [x + c * w for x, w in zip(conv[p : p + width], weights)]
-            poly = [0.0] + [x / e for e, x in enumerate(conv, 1)]
-            m0_weight = scale * (a * (math.expm1(k) / k) + b * (math.expm1(-k) / k))
-            for e, m in enumerate(kern.m0):
-                poly[e] -= m0_weight * m
-            self.r = _vanish_at_minus_one(poly)
-            return
-        # exp(-k*t) * p(t) has the antiderivative -exp(-k*t) * S(t) with
-        # k*S - S' = p, solved from the top coefficient down; Q is
-        # -(a+b)/sinh(k) * S, and the constant of R makes F(-1) = 0.
-        self.kind = "closed"
-        ek = math.exp(k)
-        q_weight = -ab / sk
-        coeffs = kern.coeffs
-        self.q = q = [0.0] * len(coeffs)
-        nxt = q_lo = 0.0
-        for e in range(len(q) - 1, -1, -1):
-            nxt = q[e] = (q_weight * coeffs[e] + (e + 1) * nxt) / k
-            q_lo = nxt - q_lo  # Q(-1) by Horner's rule
-        m0_weight = -(a * ek + b / ek) / sk
-        self.r = r = [m0_weight * m for m in kern.m0]
-        r[0] -= ek * q_lo
+        if k:
+            # exp(-k*t) * p(t) has the antiderivative -exp(-k*t) * S(t) with
+            # k*S - S' = p, solved from the top coefficient down; Q is
+            # -(a+b) * lead * S, and the constant of R makes F(-1) = 0.
+            lead = _lead(k)
+            q_weight = -ab * lead
+            coeffs = kern.coeffs
+            q = [0.0] * len(coeffs)
+            nxt = q_lo = 0.0
+            for e in range(len(q) - 1, -1, -1):
+                nxt = q[e] = (q_weight * coeffs[e] + (e + 1) * nxt) / k
+                q_lo = nxt - q_lo  # Q(-1) by Horner's rule
+            if sum(map(abs, q)) <= _CONDITION_BOUND * ab * kern.q_total:
+                self.kind = "closed"
+                self.q = q
+                u_lo = math.exp(k - abs(k))  # u(-1)
+                m0_weight = -lead * (a * u_lo + b * math.exp(-k - abs(k)))
+                self.r = r = [m0_weight * m for m in kern.m0]
+                r[0] -= u_lo * q_lo
+                return
+        # The series form of "Numerics", with scale = k / sinh k and D/k
+        # integrated term by term from
+        #   expm1(-k*t)/k = sum over i >= 1 of (-1)**i * k**(i-1) * t**i / i!.
+        # A term count shared by every z cannot stop relative to F(z),
+        # which is 0 at both endpoints. Dividing expm1(k) by k before
+        # scaling by a keeps subnormal k exact.
+        self.kind = "series"
+        self.q = []
+        scale = _k_lead(k) * math.exp(-abs(k))
+        ab_s = ab * scale
+        weights = [0.0, -ab_s]  # (a+b) * scale * (-1)**i * k**(i-1) / i!, by power i of t
+        term, i = -1.0, 1  # (-1)**i * k**(i-1) / i!
+        while abs(term * k) > 1e-30:
+            i += 1
+            term *= -k / i
+            weights.append(ab_s * term)
+        width = len(weights)
+        conv = [0.0] * (width + len(kern.coeffs) - 1)
+        for p, c in enumerate(kern.coeffs):
+            conv[p : p + width] = [x + c * w for x, w in zip(conv[p : p + width], weights)]
+        poly = [0.0] + [x / e for e, x in enumerate(conv, 1)]
+        ratio_hi, ratio_lo = (math.expm1(k) / k, math.expm1(-k) / k) if k else (1.0, -1.0)
+        m0_weight = scale * (a * ratio_hi + b * ratio_lo)
+        for e, m in enumerate(kern.m0):
+            poly[e] -= m0_weight * m
+        self.r = _vanish_at_minus_one(poly)
 
     def big_f(self, z: float) -> float:
         """F(z; k)."""
         fz = _horner(self.r, z)
         if self.q:
-            fz += math.exp(-self.k * z) * _horner(self.q, z)
+            fz += math.exp(-self.k * z - abs(self.k)) * _horner(self.q, z)
         return fz
 
     def sample(self, grid_size: int, params: ProfileParams) -> tuple[list[ProfileSample], list[float]]:
         """Samples on the uniform grid of [-1, 1], and dg/dt at each of them.
 
-        Each point costs one exponential u and Horner sums of Q and R. g
-        and dg/dt are affine in u:
+        Each point costs the exponent x = -k*z - |k|, u = exp(x) and Horner
+        sums of Q and R. As in `g_func` and `g_dt`, g and dg/dt are affine
+        in w = u - 1 and u:
 
-            g(z)     = g(e) + g_u * (u(z) - u(e))    e = -1 or 1, nearer to z
-            dg/dt(z) = dg_u * u(z) + dg_0
+            g(z)     = g(e) + g_w * (w(z) - w(e))    e = -1 or 1, nearer to z
+            dg/dt(z) = -(a+b) * k * lead * u(z)
 
-        with u = exp(-k*z) on the closed-form branch, expm1(-k*z) on the
-        series branch and z at k = 0; g(-1) = 2/m2 and g(1) = -2/m1.
-        Anchoring g at the nearer endpoint keeps its endpoint values exact.
+        with g(-1) = 2/m2, g(1) = -2/m1 (kept exact) and g_w = (a+b) * lead.
+        w enters only through differences, so the closed form, which runs
+        only where lead is moderate, uses u; the series uses expm1(x) for
+        the digits of small |k|; k = 0 takes the limit w = z, g_w = -(a+b).
         """
         k = self.k
         a, b = 1.0 / params.m1, 1.0 / params.m2
         ab = a + b
         last = grid_size - 1
         zs = [(2.0 * idx) / last - 1.0 for idx in range(grid_size)]
-        if self.kind == "zero":
-            us = zs
-            u_lo, u_hi = -1.0, 1.0
-            g_u = dg_0 = -ab
-            dg_u = 0.0
-        else:
-            sk = math.sinh(k)
-            g_u = ab / sk
-            dg_u = -ab * (k / sk)
-            nk = -k
-            if self.kind == "series":
-                us = [math.expm1(nk * z) for z in zs]
-                u_lo, u_hi = math.expm1(k), math.expm1(nk)
-                dg_0 = dg_u
-            else:
-                us = [math.exp(nk * z) for z in zs]
-                u_lo, u_hi = math.exp(k), math.exp(nk)
-                dg_0 = 0.0
+        nk, ak = -k, abs(k)
+        xs = [nk * z - ak for z in zs]
+        us = list(map(math.exp, xs))
+        ws = (us if self.q else list(map(math.expm1, xs))) if k else zs
+        g_w = ab * _lead(k) if k else -ab
+        w_lo, w_hi = ws[0], ws[-1]
         fs = _horner_grid(self.r, zs)
         if self.q:
             fs = [f + u * q for f, u, q in zip(fs, us, _horner_grid(self.q, zs))]
         r, d_n = params.r, params.d_n
         g_lo, g_hi = 2.0 * b, -2.0 * a
         h0 = params.fano_index / params.n
-        dgs = [dg_u * u + dg_0 for u in us]
+        dg_u = -ab * _k_lead(k)
+        dgs = [dg_u * u for u in us]
         samples = list(map(ProfileSample._make, zip(
             zs,
             fs,
             [f / (1.0 + r * z) ** d_n for z, f in zip(zs, fs)],
-            [h0 - 0.5 * (g_lo + g_u * (u - u_lo) if z < 0.0 else g_hi + g_u * (u - u_hi))
-             for z, u in zip(zs, us)],
+            [h0 - 0.5 * (g_lo + g_w * (w - w_lo) if z < 0.0 else g_hi + g_w * (w - w_hi))
+             for z, w in zip(zs, ws)],
             [-0.5 * dg for dg in dgs],
         )))
         return samples, dgs
@@ -395,39 +386,30 @@ def profile_F(z: float, k: float, params: ProfileParams) -> float:
 def _solve_k(kern: _Kernel, tol_rel: float) -> SolveDiagnostics:
     tol = tol_rel * (kern.alpha + kern.beta) * kern.q_total
     lo, hi = -1.0, 1.0
-    while kern.f(lo) <= 0.0:
+    while (f_lo := kern.f(lo)) <= 0.0:
         lo *= 2.0
-        if lo < -_BRACKET_LIMIT:
-            raise BracketFailureError(f"no sign change of f down to k = {lo}")
-    while kern.f(hi) >= 0.0:
+    while (f_hi := kern.f(hi)) >= 0.0:
         hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise BracketFailureError(f"no sign change of f up to k = {hi}")
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise BracketFailureError(f"f is not finite on the bracket [{lo}, {hi}]")
     bracket = (lo, hi)
-    mid = 0.5 * (lo + hi)
-    it = 0
-    for it in range(1, 201):
+    final = False
+    for it in range(1, 202):
         mid = 0.5 * (lo + hi)
         fm = kern.f(mid)
-        if abs(fm) <= tol:
-            return SolveDiagnostics(
-                k=mid, residual=abs(fm), tolerance=tol,
-                bracket_lo=bracket[0], bracket_hi=bracket[1], iterations=it,
-            )
+        if abs(fm) <= tol or final:
+            break
         if fm > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-17 * max(1.0, abs(mid)):
-            break
-    mid = 0.5 * (lo + hi)
-    residual = abs(kern.f(mid))
-    if residual <= tol:
-        return SolveDiagnostics(
-            k=mid, residual=residual, tolerance=tol,
-            bracket_lo=bracket[0], bracket_hi=bracket[1], iterations=it + 1,
-        )
-    raise BracketFailureError(f"bisection stalled at k = {mid} with |f| = {residual} > {tol}")
+        final = it == 200 or hi - lo <= 1e-17 * max(1.0, abs(mid))
+    if abs(fm) > tol:
+        raise BracketFailureError(f"bisection stalled at k = {mid} with |f| = {abs(fm)} > {tol}")
+    return SolveDiagnostics(
+        k=mid, residual=abs(fm), tolerance=tol,
+        bracket_lo=bracket[0], bracket_hi=bracket[1], iterations=it,
+    )
 
 
 def solve_k(params: ProfileParams, tol_rel: float = 1e-12) -> float:
@@ -435,7 +417,8 @@ def solve_k(params: ProfileParams, tol_rel: float = 1e-12) -> float:
 
     The returned k satisfies |f(k)| <= tol_rel * (1/m1 + 1/m2) * int(p).
     Monotonicity of f makes the bisection invariant f(lo) > 0 > f(hi)
-    self-maintaining; the bracket cap exists only to guard numerics.
+    self-maintaining; the doubling stops at the first sign change, and a
+    non-finite f there raises BracketFailureError.
     """
     return _solve_k(_kernel(params), tol_rel).k
 
@@ -470,7 +453,11 @@ def build_profile(
     root = _Root(kern, k)
     samples, dgs = root.sample(grid_size, params)
     interior_min = min([s.f for s in samples[1:-1]])
-    max_gdt = max(dgs)
+    # dg/dt = -(a+b) * k*lead * exp(-k*z - |k|) is negative wherever its
+    # log is finite, even where the product underflows; the exponent is
+    # affine in z, so its extremes are at the endpoints.
+    log_dg = math.log((1.0 / m1 + 1.0 / m2) * _k_lead(k))
+    monotone = all(math.isfinite(log_dg - k * z - abs(k)) for z in (-1.0, 1.0))
 
     p_lo = weight_poly(-1.0, r, d_n)
     p_hi = weight_poly(1.0, r, d_n)
@@ -485,13 +472,13 @@ def build_profile(
         fprime_hi_residual=abs(g_func(1.0, k, m1, m2) + 2.0 / m1) * p_hi,
         interior_min_f=interior_min,
         interior_positive=interior_min > 0.0,
-        max_g_dt=max_gdt,
-        g_monotone=max_gdt < 0.0,
+        max_g_dt=max(dgs),
+        g_monotone=monotone,
         box_ok=box_ok,
         box_first=fano * m2 - n,
         box_second=fano * m1 + n,
         horizontal_positive=all(s.ricci_h * n > 0.0 for s in samples),
-        vertical_positive=all(s.ricci_v > 0.0 for s in samples),
+        vertical_positive=monotone,
         ke_balance=kern.f(0.0),
         is_ke=abs(k) <= 1e-13
         and abs(2.0 * r * fano / n - (1.0 + r) / m2 - (1.0 - r) / m1) <= 1e-12,

@@ -148,20 +148,32 @@ def test_metric_report_carries_verdicts_and_kernel():
         "metric", "--m1", "1", "--m2", "1", "--r", "0.5", "--dN", "0",
         "--fano-index", "2", "--n", "1", "--grid", "5", "--out", "json",
     )
-    assert json.loads(r.stdout)["report"]["kernel"] == "zero"
+    assert json.loads(r.stdout)["report"]["kernel"] == "series"
 
 
 def test_failed_certificate_exit_code():
-    # k* is about 450 on this far ray; dg/dt underflows at z = 1
+    # a root tolerance of 1e-2 leaves F(1) far above the endpoint bound
+    r = run_cli(
+        "metric", "--m1", "3", "--m2", "2", "--r", "-0.5", "--dN", "1",
+        "--fano-index", "2", "--n", "-4", "--grid", "11", "--tol", "1e-2",
+    )
+    assert r.returncode == EXIT_CERTIFICATE == 5
+    assert r.stdout.startswith("z,F,Theta,ricci_h,ricci_v\n")
+    assert len(r.stdout.splitlines()) == 12
+    report = json.loads(r.stderr)["report"]
+    assert report["all_ok"] is False and report["endpoints_ok"] is False
+
+
+def test_far_ray_certifies():
+    # k* is about 450 on this far ray; dg/dt underflows at z = 1, its log does not
     r = run_cli(
         "metric-from-ray", "--l1", "1", "--l2", "1", "--w1", "7", "--w2", "1",
         "--v1", "600", "--v2", "1",
     )
-    assert r.returncode == EXIT_CERTIFICATE == 5
-    assert r.stdout.startswith("z,F,Theta,ricci_h,ricci_v\n")
+    assert r.returncode == 0
     assert len(r.stdout.splitlines()) == 202
     report = json.loads(r.stderr)["report"]
-    assert report["all_ok"] is False and report["g_monotone"] is False
+    assert report["all_ok"] is True and report["g_monotone"] is True
 
 
 def test_bouquet_join_mode():
@@ -254,6 +266,19 @@ def test_config_batch_accepts_dest_names(tmp_path):
     payload = json.loads(r.stdout)
     assert payload[0]["exit_code"] == 0
     assert json.loads(payload[0]["stderr"])["params"]["d_n"] == 1
+
+
+def test_config_entry_rejections_stay_in_output(tmp_path):
+    config = tmp_path / "batch.json"
+    entries = [{"command": "range", "l1": "x", "l2": 1, "w1": 7, "w2": 1}, {"command": "nosuch"}]
+    config.write_text(json.dumps({"commands": entries}), encoding="utf-8")
+    r = run_cli("--config", str(config))
+    assert r.returncode == EXIT_VALIDATION
+    assert r.stderr == ""
+    payload = json.loads(r.stdout)
+    assert [e["exit_code"] for e in payload] == [2, 2]
+    assert "argument --l1: invalid int value: 'x'" in payload[0]["stderr"]
+    assert "invalid choice: 'nosuch'" in payload[1]["stderr"]
 
 
 def _assert_config_rejected(path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +27,27 @@ from sascone import (
     weight_poly,
 )
 from sascone.profile import _kernel, _Root
-from conftest import CP1, GENUS2
-from oracles import g_raw, quad_f, quad_profile_F, sign_changes
+from conftest import CP1, CP2, GENUS2
+from oracles import F_exact, g_raw, quad_f, quad_profile_F, sign_changes
 
 ASYM = ProfileParams(m1=3, m2=2, d_n=1, r=-0.5, n=-4, fano_index=2)
 SYM = ProfileParams(m1=1, m2=1, d_n=0, r=0.5, n=1, fano_index=1)
 
 # 30-digit evaluation of 4*(1 - coth(1)), the symmetric m1=m2=1, d_n=0 value
 F_OF_ONE_SYMMETRIC = -1.2521411419973252
+
+
+def _switch_point(kern):
+    """The smallest k > 0 at which `_Root` runs the closed form, by bisection."""
+    lo, hi = 0.0, 1.0
+    while _Root(kern, hi).kind != "closed":
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _Root(kern, mid).kind == "closed":
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestTransitionFunction:
@@ -89,8 +103,12 @@ class TestRootFunction:
 
     def test_series_and_closed_form_agree_at_cutoff(self):
         for params in (ASYM, ProfileParams(7, 2, 3, -0.8, -5, 2)):
-            below = f_of_k(math.nextafter(0.5, 0.0), params)
-            at = f_of_k(0.5, params)
+            kern = _kernel(params)
+            switch = _switch_point(kern)
+            before = math.nextafter(switch, 0.0)
+            assert (_Root(kern, before).kind, _Root(kern, switch).kind) == ("series", "closed")
+            below = f_of_k(before, params)
+            at = f_of_k(switch, params)
             assert below == pytest.approx(at, rel=1e-11)
 
     @given(
@@ -200,7 +218,8 @@ class TestSampler:
     """The per-root sampler against per-point evaluation and quadrature."""
 
     BELOW, ABOVE = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
-    KINDS = {0.0: "zero", BELOW: "series", 0.5: "closed", ABOVE: "closed", 300.0: "closed"}
+    KINDS = {0.0: "series", 1e-3: "series", BELOW: "closed", 0.5: "closed", ABOVE: "closed",
+             300.0: "closed"}
 
     @staticmethod
     def _close(got, ref, scale):
@@ -243,6 +262,37 @@ class TestSampler:
             assert self._close(s.f, profile_F(s.z, k, params), scale)
             assert self._close(s.f, quad_profile_F(s.z, k, 600, 1, 0.5, 0), scale)
         assert profile.report.all_ok
+
+
+class TestKernelAccuracy:
+    """The kernel against the exact closed form over the positive range."""
+
+    def test_against_exact_closed_form(self):
+        rng = random.Random(2018)
+        for _ in range(150):
+            m1, m2 = (round(10 ** rng.uniform(0, 4)) for _ in range(2))
+            d_n = rng.randint(0, 40)
+            sign = rng.choice((1, -1))
+            r = sign * rng.uniform(0.01, 0.99)
+            params = ProfileParams(m1=m1, m2=m2, d_n=d_n, r=r, n=sign, fano_index=1)
+            scale = (1.0 / m1 + 1.0 / m2) * 2.0 * (1.0 + abs(r)) ** d_n
+            k = solve_k(params)
+            # the solver's tolerance (at most 1e-12 * scale) plus the kernel's error
+            assert abs(F_exact(1.0, k, m1, m2, r, d_n)) <= 2e-12 * scale
+            k_any = math.copysign(10 ** rng.uniform(-3, 3), rng.uniform(-1, 1))
+            for z, kk in ((-0.5, k), (0.5, k), (0.0, k_any)):
+                assert abs(profile_F(z, kk, params) - F_exact(z, kk, m1, m2, r, d_n)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("w1, base, lower", [(7, CP1, 5), (12, CP2, 9)])
+    def test_golden_half_lines_certify_out_to_1e4(self, w1, base, lower):
+        # the third golden family, (4,1,1,1) over CP1, has no ray (v1, 1)
+        # inside 1/2 < v1/v2 < 2 but its product case (1, 1)
+        join = validate_join(1, 1, w1, 1, base)
+        rays = {round(10 ** (i / 8)) for i in range(33)} | {600, 1000}
+        for v1 in sorted(v for v in rays if v > lower and v != w1):
+            params, _ = profile_params_from_ray(join, ReebRay(v1, 1))
+            report = build_profile(params).report
+            assert report.all_ok, (v1, report)
 
 
 class TestProfileParamsValidation:
