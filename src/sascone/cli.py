@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fano-index", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p.add_argument("--tol", type=float, default=1e-12, help="relative root tolerance")
+    p.add_argument("--tol", type=float, default=1e-12, help="relative root residual that fails (exit 3)")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_metric)
 
@@ -382,15 +382,16 @@ def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
         argv = _entry_to_argv(entry, options)
         usage = io.StringIO()
         try:
-            with contextlib.redirect_stderr(usage):
+            # help and version actions print to stdout, which holds only the batch's JSON
+            with contextlib.redirect_stderr(usage), contextlib.redirect_stdout(io.StringIO()):
                 ns = parser.parse_args(argv)
             res = ns.handler(ns)
         except SasconeError as exc:
             res = CommandResult(stdout="", stderr=str(exc), code=exit_code_for(exc))
-        except SystemExit as exc:  # argparse rejected the entry's flags
+        except SystemExit as exc:  # argparse rejected the entry's flags, or printed and exited
             # its last line is the reason; the usage above it wraps to the terminal
             reason = usage.getvalue().strip().rpartition("\n")[2]
-            res = CommandResult(stdout="", stderr=reason or "unparseable command entry",
+            res = CommandResult(stdout="", stderr=reason or "help and version are not run in a batch",
                                 code=int(exc.code or 2))
         results.append(
             {"command": entry.get("command"), "exit_code": res.code,

@@ -97,22 +97,8 @@ def emit_json(record: Any) -> str:
     return "".join(out)
 
 
-def _csv_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, str):
-        if any(ch in value for ch in ",\"\n"):
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    raise TypeError(f"cannot emit {type(value).__name__} in CSV")
-
-
-def emit_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Deterministic CSV: '.' decimal separator, LF line endings."""
+def emit_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
+    """Deterministic CSV of float rows: '.' decimal separator, LF line endings."""
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(format_float, row)) for row in rows)
     return "\n".join(lines) + "\n"

@@ -69,7 +69,7 @@ class NonpositiveVolumeError(PreconditionError):
 
 
 class BracketFailureError(PreconditionError):
-    """Root bracketing failed; guards floating-point pathology only."""
+    """Root solve failed: f is not finite on the bracket, or |f| at the best k exceeds tol."""
 
 
 class GoldenMismatchError(SasconeError):

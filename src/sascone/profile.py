@@ -56,11 +56,13 @@ The closed form cancels when S is large (small |k|, large d_n); its
 rounding error is about eps * sum |Q_j|. It runs when sum |Q_j| <=
 _CONDITION_BOUND * (a+b) * int(p), the scale of F, and the series runs
 otherwise. The root solver evaluates f(k) = F(1; k) through the same
-form. After the root k* is found, Q and R are built once and each grid
-point costs one exponential (two in the series form) and Horner sums of
-Q and R; g and dg/dt are affine in them. Everything is pure and
-reentrant. Exact quadrature of these closed forms is cross-checked
-against adaptive numerical quadrature in the test suite only.
+form and bisects until its bracket holds no double between the ends;
+the tolerance is only a failure threshold. After the root k* is found,
+Q and R are built once and each grid point costs one exponential (two
+in the series form) and Horner sums of Q and R; g and dg/dt are affine
+in them. Everything is pure and reentrant. Exact quadrature of these
+closed forms is cross-checked against adaptive numerical quadrature in
+the test suite only.
 """
 
 from __future__ import annotations
@@ -393,21 +395,22 @@ def _solve_k(kern: _Kernel, tol_rel: float) -> SolveDiagnostics:
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise BracketFailureError(f"f is not finite on the bracket [{lo}, {hi}]")
     bracket = (lo, hi)
-    final = False
-    for it in range(1, 202):
-        mid = 0.5 * (lo + hi)
+    it = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        it += 1
         fm = kern.f(mid)
-        if abs(fm) <= tol or final:
-            break
         if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        final = it == 200 or hi - lo <= 1e-17 * max(1.0, abs(mid))
-    if abs(fm) > tol:
-        raise BracketFailureError(f"bisection stalled at k = {mid} with |f| = {abs(fm)} > {tol}")
+            lo, f_lo = mid, fm
+        elif fm < 0.0:
+            hi, f_hi = mid, fm
+        else:  # f(mid) is 0, or NaN, which the threshold below rejects
+            lo = hi = mid
+            f_lo = f_hi = fm
+    k, fk = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    if not abs(fk) <= tol:
+        raise BracketFailureError(f"the best root k = {k} has |f| = {abs(fk)} > {tol}")
     return SolveDiagnostics(
-        k=mid, residual=abs(fm), tolerance=tol,
+        k=k, residual=abs(fk), tolerance=tol,
         bracket_lo=bracket[0], bracket_hi=bracket[1], iterations=it,
     )
 
@@ -415,10 +418,12 @@ def _solve_k(kern: _Kernel, tol_rel: float) -> SolveDiagnostics:
 def solve_k(params: ProfileParams, tol_rel: float = 1e-12) -> float:
     """Unique root of f, by bracket doubling from [-1, 1] then bisection.
 
-    The returned k satisfies |f(k)| <= tol_rel * (1/m1 + 1/m2) * int(p).
-    Monotonicity of f makes the bisection invariant f(lo) > 0 > f(hi)
-    self-maintaining; the doubling stops at the first sign change, and a
-    non-finite f there raises BracketFailureError.
+    The bisection runs until no double lies between the bracket's ends
+    (or f is exactly 0) and returns the end with the smaller |f|. tol_rel
+    is only the failure threshold: BracketFailureError is raised when that
+    |f| exceeds tol_rel * (1/m1 + 1/m2) * int(p), or when f is not finite
+    at the first sign change of the doubling. Monotonicity of f keeps the
+    invariant f(lo) > 0 > f(hi).
     """
     return _solve_k(_kernel(params), tol_rel).k
 
@@ -441,17 +446,23 @@ def build_profile(
     The samples cover [-1, 1] endpoints included. The report records the
     endpoint residuals of F and F', interior positivity, monotonicity of
     g, the box verdict with its two integer scalars, and the flat
-    (Kaehler-Einstein) specialization flag.
+    (Kaehler-Einstein) specialization flag. InvalidParameterError is
+    raised when p or Theta = F/p leaves the double range on the grid.
     """
     if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 3:
         raise InvalidParameterError(f"grid_size must be an int >= 3, got {grid_size!r}")
-    kern = _kernel(params)
-    diag = _solve_k(kern, tol_rel)
-    k = diag.k
     m1, m2, r, d_n, n, fano = params.m1, params.m2, params.r, params.d_n, params.n, params.fano_index
-
-    root = _Root(kern, k)
-    samples, dgs = root.sample(grid_size, params)
+    try:
+        kern = _kernel(params)
+        diag = _solve_k(kern, tol_rel)
+        root = _Root(kern, diag.k)
+        samples, dgs = root.sample(grid_size, params)
+        representable = all(math.isfinite(s.theta) for s in samples)
+    except (OverflowError, ZeroDivisionError):  # a binomial coefficient of p, or p itself
+        representable = False
+    if not representable:
+        raise InvalidParameterError(f"d_n = {d_n}, r = {r}: p or Theta = F/p leaves the double range")
+    k = diag.k
     interior_min = min([s.f for s in samples[1:-1]])
     # dg/dt = -(a+b) * k*lead * exp(-k*z - |k|) is negative wherever its
     # log is finite, even where the product underflows; the exponent is

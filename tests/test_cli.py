@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import sascone.cli as cli
-from sascone.errors import EXIT_CERTIFICATE, EXIT_VALIDATION
+from sascone.errors import EXIT_CERTIFICATE, EXIT_PRECONDITION, EXIT_VALIDATION
 from sascone.goldens import GoldenCheck
 
 
@@ -152,16 +154,67 @@ def test_metric_report_carries_verdicts_and_kernel():
 
 
 def test_failed_certificate_exit_code():
-    # a root tolerance of 1e-2 leaves F(1) far above the endpoint bound
+    # no double k* brings |F(-1)| below the endpoint bound on this base
     r = run_cli(
-        "metric", "--m1", "3", "--m2", "2", "--r", "-0.5", "--dN", "1",
-        "--fano-index", "2", "--n", "-4", "--grid", "11", "--tol", "1e-2",
+        "metric-from-ray", "--l1", "1", "--l2", "1", "--w1", "7", "--w2", "1",
+        "--v1", "100", "--v2", "1", "--base", "cp60", "--grid", "11",
     )
     assert r.returncode == EXIT_CERTIFICATE == 5
     assert r.stdout.startswith("z,F,Theta,ricci_h,ricci_v\n")
     assert len(r.stdout.splitlines()) == 12
     report = json.loads(r.stderr)["report"]
     assert report["all_ok"] is False and report["endpoints_ok"] is False
+
+
+def test_root_tolerance_is_the_failure_threshold():
+    r = run_cli(
+        "metric", "--m1", "3", "--m2", "2", "--r", "-0.5", "--dN", "1",
+        "--fano-index", "2", "--n", "-4", "--grid", "11", "--tol", "1e-30",
+    )
+    assert r.returncode == EXIT_PRECONDITION == 3
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"]["type"] == "BracketFailureError"
+
+
+HIGH_DIMENSION_CASES = [
+    (join, ray, dim)
+    for join, ray, dims in (
+        ((1, 1, 7, 1), (100, 1), (1, 8, 15, 16, 20, 25, 30, 40)),
+        ((1, 1, 7, 1), (6, 1), (1, 8, 15, 16, 20, 25, 30, 40)),
+        ((4, 1, 1, 1), (3, 2), (1, 8, 15, 16, 20, 25, 30)),
+        ((1, 1, 7, 1), (1, 1), (1, 8, 15, 16, 20, 25, 30)),
+    )
+    for dim in dims
+]
+
+
+@pytest.mark.parametrize(
+    ("join", "ray", "dim"), HIGH_DIMENSION_CASES,
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else f"cp{v}",
+)
+def test_high_dimensional_bases_certify(join, ray, dim, capsys):
+    argv = ["metric-from-ray", "--base", f"cp{dim}", "--out", "json"]
+    for flag, value in zip(("--l1", "--l2", "--w1", "--w2", "--v1", "--v2"), join + ray):
+        argv += [flag, str(value)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["all_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("metric", "--m1", "3", "--m2", "2", "--r", "0.9", "--dN", "600", "--n", "4", "--fano-index", "2"),
+        ("metric", "--m1", "3", "--m2", "2", "--r", "-0.5", "--dN", "1028", "--n", "-4", "--fano-index", "2"),
+        ("metric", "--m1", "3", "--m2", "2", "--r", "0.9", "--dN", "1100", "--n", "4", "--fano-index", "2"),
+        ("metric-from-ray", "--l1", "1", "--l2", "1", "--w1", "7", "--w2", "1",
+         "--v1", "100", "--v2", "1", "--base", "cp1100"),
+    ],
+)
+def test_unrepresentable_profile_is_a_validation_error(args):
+    r = run_cli(*args)
+    assert r.returncode == EXIT_VALIDATION
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"]["type"] == "InvalidParameterError"
 
 
 def test_far_ray_certifies():
@@ -279,6 +332,21 @@ def test_config_entry_rejections_stay_in_output(tmp_path):
     assert [e["exit_code"] for e in payload] == [2, 2]
     assert "argument --l1: invalid int value: 'x'" in payload[0]["stderr"]
     assert "invalid choice: 'nosuch'" in payload[1]["stderr"]
+
+
+def test_config_help_entry_stays_in_output(tmp_path):
+    config = tmp_path / "batch.json"
+    entries = [{"command": "range", "help": True}, {"command": "--version"},
+               {"command": "range", "l1": 1, "l2": 1, "w1": 7, "w2": 1, "format": "text"}]
+    config.write_text(json.dumps({"commands": entries}), encoding="utf-8")
+    r = run_cli("--config", str(config))
+    assert r.returncode == EXIT_VALIDATION
+    assert r.stderr == ""
+    payload = json.loads(r.stdout)
+    assert [e["exit_code"] for e in payload] == [2, 2, 0]
+    assert payload[0]["stdout"] == payload[1]["stdout"] == ""
+    assert payload[0]["stderr"] == payload[1]["stderr"] == "help and version are not run in a batch"
+    assert payload[2]["stdout"] == "5 < v1/v2\n"
 
 
 def _assert_config_rejected(path):

@@ -80,12 +80,15 @@ def test_named_tuple_round_trip():
 
 
 def test_csv_formatting():
-    text = emit_csv(("a", "b"), [(1.5, "x"), (Fraction(1, 3), 'quo"te')])
+    text = emit_csv(("a", "b"), [(1.5, 0.1), (-0.0, 1e300)])
     lines = text.split("\n")
     assert lines[0] == "a,b"
-    assert lines[1] == "1.5,x"
-    assert lines[2] == '1/3,"quo""te"'
+    assert lines[1] == "1.5,0.10000000000000001"
+    assert lines[2] == "-0,1.0000000000000001e+300"
     assert text.endswith("\n")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            emit_csv(("a", "b"), [(1.0, 2.0), (0.5, bad)])
 
 
 def test_emit_json_repeatable_bytes():
