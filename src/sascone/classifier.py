@@ -2,18 +2,22 @@
 
 With cone dimension above one, a ray is either positive or indefinite.
 The positive subset, written in the ratio coordinate v1/v2, is an open
-set computed exactly from (l1, l2, w1, w2) and the base's Fano index I_N:
+set computed exactly from (l1, l2, w1, w2) and the base's Fano index I_N.
+Its finite bounds are unreduced (numerator, denominator) integer pairs,
+with positive denominators:
 
 * not Fano: empty (every ray indefinite);
 * l2*I_N >= l1*w1: the whole cone (the equality case is included; the
   case split below then covers every Fano join and matches the known
   whole-cone families);
-* rho = l2*I_N/(l1*w2) < 1: the open interval
-  (w1/w2 - rho, (w1/w2)/(1 - rho));
-* 1 <= rho < w1/w2: the open half-line (w1/w2 - rho, infinity).
+* l2*I_N < l1*w2: the open interval with lower bound
+  (l1*w1 - l2*I_N, l1*w2) and upper bound (l1*w1, l1*w2 - l2*I_N);
+* l1*w2 <= l2*I_N < l1*w1: the open half-line above
+  (l1*w1 - l2*I_N, l1*w2).
 
-All bounds are exact rationals and all membership tests are strict, so
-boundary rays classify as indefinite.
+`PositivityRange` holds them as `Fraction`s. `classify_ray` decides from
+the pairs by strict cross-multiplication, so boundary rays classify as
+indefinite, and independently of `quotient.orb_fano_predicate`.
 """
 
 from __future__ import annotations
@@ -88,6 +92,22 @@ class PositivityRange:
         return f"{self.lower} < v1/v2 < {self.upper}"
 
 
+def _range_bounds(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> tuple:
+    """Kind, lower and upper bound of the range; a finite bound is an unreduced (num, den)."""
+    for name, value in (("l1", l1), ("l2", l2), ("w1", w1), ("w2", w2)):
+        _require_positive_int(value, name)
+    if w1 < w2:
+        raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({w1}, {w2})")
+    shift, top, bottom = l2 * c1_coeff, l1 * w1, l1 * w2
+    if c1_coeff <= 0:
+        return RangeKind.EMPTY, None, None
+    if shift >= top:
+        return RangeKind.ENTIRE, None, None
+    if shift < bottom:
+        return RangeKind.INTERVAL, (top - shift, bottom), (top, bottom - shift)
+    return RangeKind.HALF_LINE, (top - shift, bottom), None
+
+
 def positivity_range_raw(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> PositivityRange:
     """Positivity range from raw parameters, skipping join validation.
 
@@ -95,19 +115,12 @@ def positivity_range_raw(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> P
     tables that include non-smooth (l, w) combinations; `validate_join`
     remains the gate for actual joins.
     """
-    for name, value in (("l1", l1), ("l2", l2), ("w1", w1), ("w2", w2)):
-        _require_positive_int(value, name)
-    if w1 < w2:
-        raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({w1}, {w2})")
-    if c1_coeff <= 0:
-        return PositivityRange(RangeKind.EMPTY)
-    if l2 * c1_coeff >= l1 * w1:
-        return PositivityRange(RangeKind.ENTIRE)
-    rho = Fraction(l2 * c1_coeff, l1 * w2)
-    lower = Fraction(w1, w2) - rho
-    if rho < 1:
-        return PositivityRange(RangeKind.INTERVAL, lower=lower, upper=Fraction(w1, w2) / (1 - rho))
-    return PositivityRange(RangeKind.HALF_LINE, lower=lower)
+    kind, lower, upper = _range_bounds(l1, l2, w1, w2, c1_coeff)
+    return PositivityRange(
+        kind,
+        None if lower is None else Fraction(*lower),
+        None if upper is None else Fraction(*upper),
+    )
 
 
 def positivity_range(join: JoinParams) -> PositivityRange:
@@ -116,8 +129,15 @@ def positivity_range(join: JoinParams) -> PositivityRange:
 
 
 def classify_ray(join: JoinParams, ray: ReebRay) -> TypeVerdict:
-    """Positive iff v1/v2 lies strictly inside the positivity range."""
-    if positivity_range(join).contains(ray.ratio):
+    """Positive iff v1/v2 lies strictly inside the positivity range.
+
+    The bounds' denominators are positive, so v1/v2 > a/b is v1*b > a*v2.
+    """
+    kind, lower, upper = _range_bounds(join.l1, join.l2, join.w1, join.w2, join.base.c1_coeff)
+    if lower is None:
+        return TypeVerdict.POSITIVE if kind is RangeKind.ENTIRE else TypeVerdict.INDEFINITE
+    v1, v2 = ray.v1, ray.v2
+    if v1 * lower[1] > lower[0] * v2 and (upper is None or v1 * upper[1] < upper[0] * v2):
         return TypeVerdict.POSITIVE
     return TypeVerdict.INDEFINITE
 

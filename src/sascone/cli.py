@@ -212,6 +212,8 @@ def _cmd_quotient(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_classify(args: argparse.Namespace) -> CommandResult:
+    if args.near is not None and args.near < 0:
+        raise InvalidParameterError(f"--near must be nonnegative, got {args.near}")
     join, notes = _parse_join(args)
     ray = ReebRay(args.v1, args.v2)
     rng = positivity_range(join)

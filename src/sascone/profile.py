@@ -386,6 +386,8 @@ def profile_F(z: float, k: float, params: ProfileParams) -> float:
 
 
 def _solve_k(kern: _Kernel, tol_rel: float) -> SolveDiagnostics:
+    if not 0.0 <= tol_rel < math.inf:
+        raise InvalidParameterError(f"tol_rel must be finite and nonnegative, got {tol_rel}")
     tol = tol_rel * (kern.alpha + kern.beta) * kern.q_total
     lo, hi = -1.0, 1.0
     while (f_lo := kern.f(lo)) <= 0.0:
@@ -423,7 +425,8 @@ def solve_k(params: ProfileParams, tol_rel: float = 1e-12) -> float:
     is only the failure threshold: BracketFailureError is raised when that
     |f| exceeds tol_rel * (1/m1 + 1/m2) * int(p), or when f is not finite
     at the first sign change of the doubling. Monotonicity of f keeps the
-    invariant f(lo) > 0 > f(hi).
+    invariant f(lo) > 0 > f(hi). A NaN, infinite or negative tol_rel is
+    an InvalidParameterError.
     """
     return _solve_k(_kernel(params), tol_rel).k
 
@@ -447,7 +450,8 @@ def build_profile(
     endpoint residuals of F and F', interior positivity, monotonicity of
     g, the box verdict with its two integer scalars, and the flat
     (Kaehler-Einstein) specialization flag. InvalidParameterError is
-    raised when p or Theta = F/p leaves the double range on the grid.
+    raised when tol_rel is NaN, infinite or negative, and when p or
+    Theta = F/p leaves the double range on the grid.
     """
     if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 3:
         raise InvalidParameterError(f"grid_size must be an int >= 3, got {grid_size!r}")

@@ -54,7 +54,7 @@ def quotient_data(join: JoinParams, ray: ReebRay) -> QuotientData:
         raise ProductCaseError(f"ray ({ray.v1}, {ray.v2}) equals w; quotient degenerates (n = 0)")
     s = gcd(abs(d), join.l2)
     m = join.l2 // s
-    return QuotientData(s=s, n=join.l1 * (d // s), m=m, m1=m * ray.v1, m2=m * ray.v2)
+    return QuotientData(s, join.l1 * (d // s), m, m * ray.v1, m * ray.v2)
 
 
 def orb_fano_predicate(join: JoinParams, ray: ReebRay) -> bool:

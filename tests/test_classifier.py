@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sascone import (
     BaseManifold,
     BaseMismatchError,
     InvalidParameterError,
+    JoinParams,
     NonpositiveVolumeError,
     PositivityRange,
     RangeKind,
@@ -24,7 +27,7 @@ from sascone import (
     validate_join,
     whole_cone_rules,
 )
-from conftest import CP1, CP2, GENUS2, join_strategy, ray_strategy
+from conftest import BASES, CP1, CP2, GENUS2, join_strategy, ray_strategy
 
 
 def _join(l1, l2, w1, w2, base=CP1):
@@ -79,6 +82,24 @@ class TestClassify:
         join = _join(2, 1, 3, 1)
         assert positivity_range(join).lower == 2
         assert classify_ray(join, ReebRay(2, 1)) is TypeVerdict.INDEFINITE
+
+    def test_verdict_equals_range_membership(self):
+        # criterion-3 joins; rays v1, v2 <= 12 plus the rays of each finite bound
+        rays = [(ReebRay(v1, v2), Fraction(v1, v2))
+                for v1, v2 in product(range(1, 13), repeat=2) if gcd(v1, v2) == 1]
+        for l1, l2, w1, w2 in product(range(1, 11), range(1, 11), range(1, 13), range(1, 13)):
+            if w2 > w1 or gcd(l1, l2) != 1 or gcd(w1, w2) != 1 or gcd(l2, l1 * w1 * w2) != 1:
+                continue
+            for base in BASES:
+                join = JoinParams(base=base, l1=l1, l2=l2, w1=w1, w2=w2)
+                rng = positivity_range(join)
+                for bound in (rng.lower, rng.upper):
+                    if bound is not None:
+                        ray = ReebRay(bound.numerator, bound.denominator)
+                        assert classify_ray(join, ray) is TypeVerdict.INDEFINITE, (join, ray)
+                for ray, ratio in rays:
+                    positive = classify_ray(join, ray) is TypeVerdict.POSITIVE
+                    assert positive == rng.contains(ratio), (join, ray)
 
     def test_distance_to_boundary(self):
         rng = positivity_range(_join(4, 1, 1, 1))

@@ -55,6 +55,17 @@ def test_classify_boundary_note():
     assert any("boundary" in note for note in payload["notes"])
 
 
+def test_classify_near_must_be_nonnegative():
+    argv = ("classify", "--l1", "2", "--l2", "1", "--w1", "3", "--w2", "1", "--v1", "2", "--v2", "1")
+    r = run_cli(*argv, "--near=-1/2")
+    assert r.returncode == EXIT_VALIDATION
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["error"]["type"] == "InvalidParameterError"
+    r = run_cli(*argv, "--near", "0")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["near_boundary"] is True
+
+
 def test_invariants_swap_note_and_fields():
     r = run_cli("invariants", "--l1", "1", "--l2", "1", "--w1", "3", "--w2", "5")
     payload = json.loads(r.stdout)
@@ -174,6 +185,17 @@ def test_root_tolerance_is_the_failure_threshold():
     assert r.returncode == EXIT_PRECONDITION == 3
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"]["type"] == "BracketFailureError"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_root_tolerance_must_be_finite_and_nonnegative(tol):
+    r = run_cli(
+        "metric", "--m1", "3", "--m2", "2", "--r", "-0.5", "--dN", "1",
+        "--fano-index", "2", "--n", "-4", "--grid", "11", "--tol", tol,
+    )
+    assert r.returncode == EXIT_VALIDATION
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["error"]["type"] == "InvalidParameterError"
 
 
 HIGH_DIMENSION_CASES = [
