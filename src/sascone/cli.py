@@ -289,10 +289,7 @@ def _profile_result(
         record = dict(report)
         record["samples"] = profile.samples
         return CommandResult(stdout=emit_json(record), stderr=stderr, code=code)
-    csv = emit_csv(
-        ("z", "F", "Theta", "ricci_h", "ricci_v"),
-        ((s.z, s.f, s.theta, s.ricci_h, s.ricci_v) for s in profile.samples),
-    )
+    csv = emit_csv(("z", "F", "Theta", "ricci_h", "ricci_v"), zip(*profile.columns))
     return CommandResult(stdout=csv, stderr=stderr, code=code)
 
 

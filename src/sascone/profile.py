@@ -60,9 +60,10 @@ form and bisects until its bracket holds no double between the ends;
 the tolerance is only a failure threshold. After the root k* is found,
 Q and R are built once and each grid point costs one exponential (two
 in the series form) and Horner sums of Q and R; g and dg/dt are affine
-in them. Everything is pure and reentrant. Exact quadrature of these
-closed forms is cross-checked against adaptive numerical quadrature in
-the test suite only.
+in them. The certificate scans the grid as columns, which `MetricProfile`
+stores; its `samples` are rows built on every read. Everything is pure
+and reentrant. Exact quadrature of these closed forms is cross-checked
+against adaptive numerical quadrature in the test suite only.
 """
 
 from __future__ import annotations
@@ -178,8 +179,13 @@ class VerificationReport:
 class MetricProfile:
     params: ProfileParams
     k_root: float
-    samples: tuple[ProfileSample, ...]
+    columns: tuple[tuple[float, ...], ...]  # the grid, in ProfileSample._fields order
     report: VerificationReport
+
+    @property
+    def samples(self) -> tuple[ProfileSample, ...]:
+        """The rows of `columns`, built on every read with no cache: bind once in a loop."""
+        return tuple(map(ProfileSample._make, zip(*self.columns)))
 
 
 def weight_poly(z: float, r: float, d_n: int) -> float:
@@ -326,8 +332,8 @@ class _Root:
             fz += math.exp(-self.k * z - abs(self.k)) * _horner(self.q, z)
         return fz
 
-    def sample(self, grid_size: int, params: ProfileParams) -> tuple[list[ProfileSample], list[float]]:
-        """Samples on the uniform grid of [-1, 1], and dg/dt at each of them.
+    def sample(self, grid_size: int, params: ProfileParams) -> tuple[tuple[tuple[float, ...], ...], list[float]]:
+        """The `ProfileSample` columns on the uniform grid of [-1, 1], and dg/dt.
 
         Each point costs the exponent x = -k*z - |k|, u = exp(x) and Horner
         sums of Q and R. As in `g_func` and `g_dt`, g and dg/dt are affine
@@ -345,7 +351,7 @@ class _Root:
         a, b = 1.0 / params.m1, 1.0 / params.m2
         ab = a + b
         last = grid_size - 1
-        zs = [(2.0 * idx) / last - 1.0 for idx in range(grid_size)]
+        zs = [i / last - 1.0 for i in range(0, 2 * last + 1, 2)]
         nk, ak = -k, abs(k)
         xs = [nk * z - ak for z in zs]
         us = list(map(math.exp, xs))
@@ -360,15 +366,14 @@ class _Root:
         h0 = params.fano_index / params.n
         dg_u = -ab * _k_lead(k)
         dgs = [dg_u * u for u in us]
-        samples = list(map(ProfileSample._make, zip(
+        return tuple(map(tuple, (
             zs,
             fs,
             [f / (1.0 + r * z) ** d_n for z, f in zip(zs, fs)],
             [h0 - 0.5 * (g_lo + g_w * (w - w_lo) if z < 0.0 else g_hi + g_w * (w - w_hi))
              for z, w in zip(zs, ws)],
             [-0.5 * dg for dg in dgs],
-        )))
-        return samples, dgs
+        ))), dgs
 
 
 def _kernel(params: ProfileParams) -> _Kernel:
@@ -385,10 +390,13 @@ def profile_F(z: float, k: float, params: ProfileParams) -> float:
     return _Root(_kernel(params), float(k)).big_f(float(z))
 
 
-def _solve_k(kern: _Kernel, tol_rel: float) -> SolveDiagnostics:
+def _tolerance(kern: _Kernel, tol_rel: float) -> float:
     if not 0.0 <= tol_rel < math.inf:
         raise InvalidParameterError(f"tol_rel must be finite and nonnegative, got {tol_rel}")
-    tol = tol_rel * (kern.alpha + kern.beta) * kern.q_total
+    return tol_rel * (kern.alpha + kern.beta) * kern.q_total
+
+
+def _solve_k(kern: _Kernel, tol: float) -> SolveDiagnostics:
     lo, hi = -1.0, 1.0
     while (f_lo := kern.f(lo)) <= 0.0:
         lo *= 2.0
@@ -428,7 +436,7 @@ def solve_k(params: ProfileParams, tol_rel: float = 1e-12) -> float:
     invariant f(lo) > 0 > f(hi). A NaN, infinite or negative tol_rel is
     an InvalidParameterError.
     """
-    return _solve_k(_kernel(params), tol_rel).k
+    return _solve_k(kern := _kernel(params), _tolerance(kern, tol_rel)).k
 
 
 def ricci_box_holds(fano_index: int, n: int, m1: int, m2: int) -> bool:
@@ -446,28 +454,33 @@ def build_profile(
 ) -> MetricProfile:
     """Solve for k, sample the profile on a uniform grid, and certify it.
 
-    The samples cover [-1, 1] endpoints included. The report records the
-    endpoint residuals of F and F', interior positivity, monotonicity of
-    g, the box verdict with its two integer scalars, and the flat
-    (Kaehler-Einstein) specialization flag. InvalidParameterError is
-    raised when tol_rel is NaN, infinite or negative, and when p or
-    Theta = F/p leaves the double range on the grid.
+    The grid covers [-1, 1] endpoints included; the profile stores it as
+    columns, on which every check runs. The report records the endpoint
+    residuals of F and F', interior positivity, monotonicity of g, the box
+    verdict with its two integer scalars, and the flat (Kaehler-Einstein)
+    specialization flag. InvalidParameterError is raised when tol_rel is
+    NaN, infinite or negative, and when p or Theta = F/p leaves the double
+    range on the grid, before the solve when p is 0 at z = -sign(r).
     """
     if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 3:
         raise InvalidParameterError(f"grid_size must be an int >= 3, got {grid_size!r}")
     m1, m2, r, d_n, n, fano = params.m1, params.m2, params.r, params.d_n, params.n, params.fano_index
     try:
         kern = _kernel(params)
-        diag = _solve_k(kern, tol_rel)
+        tol = _tolerance(kern, tol_rel)
+        if weight_poly(-math.copysign(1.0, r), r, d_n) == 0.0:
+            raise ZeroDivisionError  # Theta = F/p divides by this p = 0 for every k
+        diag = _solve_k(kern, tol)
         root = _Root(kern, diag.k)
-        samples, dgs = root.sample(grid_size, params)
-        representable = all(math.isfinite(s.theta) for s in samples)
+        columns, dgs = root.sample(grid_size, params)
+        _, fs, thetas, ricci_h, _ = columns
+        representable = all(map(math.isfinite, thetas))
     except (OverflowError, ZeroDivisionError):  # a binomial coefficient of p, or p itself
         representable = False
     if not representable:
         raise InvalidParameterError(f"d_n = {d_n}, r = {r}: p or Theta = F/p leaves the double range")
     k = diag.k
-    interior_min = min([s.f for s in samples[1:-1]])
+    interior_min = min(fs[1:-1])
     # dg/dt = -(a+b) * k*lead * exp(-k*z - |k|) is negative wherever its
     # log is finite, even where the product underflows; the exponent is
     # affine in z, so its extremes are at the endpoints.
@@ -481,8 +494,8 @@ def build_profile(
         grid_size=grid_size,
         root=diag,
         kernel=root.kind,
-        endpoint_f_lo=abs(samples[0].f),
-        endpoint_f_hi=abs(samples[-1].f),
+        endpoint_f_lo=abs(fs[0]),
+        endpoint_f_hi=abs(fs[-1]),
         fprime_lo_residual=abs(g_func(-1.0, k, m1, m2) - 2.0 / m2) * p_lo,
         fprime_hi_residual=abs(g_func(1.0, k, m1, m2) + 2.0 / m1) * p_hi,
         interior_min_f=interior_min,
@@ -492,14 +505,14 @@ def build_profile(
         box_ok=box_ok,
         box_first=fano * m2 - n,
         box_second=fano * m1 + n,
-        horizontal_positive=all(s.ricci_h * n > 0.0 for s in samples),
+        horizontal_positive=all(h * n > 0.0 for h in ricci_h),
         vertical_positive=monotone,
         ke_balance=kern.f(0.0),
         is_ke=abs(k) <= 1e-13
         and abs(2.0 * r * fano / n - (1.0 + r) / m2 - (1.0 - r) / m1) <= 1e-12,
         synthetic_dimension=d_n == 0,
     )
-    return MetricProfile(params=params, k_root=k, samples=tuple(samples), report=report)
+    return MetricProfile(params=params, k_root=k, columns=columns, report=report)
 
 
 def profile_params_from_ray(

@@ -96,9 +96,9 @@ class OrbChernReport:
 def orb_c1_report(join: JoinParams, ray: ReebRay, data: QuotientData | None = None) -> OrbChernReport:
     if data is None:
         data = quotient_data(join, ray)
-    b0 = join.base.c1_coeff
-    a = Fraction(2 * b0, data.n) + Fraction(1, data.m1) - Fraction(1, data.m2)
-    c = Fraction(1, data.m1) + Fraction(1, data.m2)
-    if data.n > 0:
-        return OrbChernReport(n=data.n, a_scalar=a, c_scalar=c, branch="n>0", positive=a > c)
-    return OrbChernReport(n=data.n, a_scalar=a, c_scalar=c, branch="n<0", positive=a < -c)
+    b0, n, m1, m2 = join.base.c1_coeff, data.n, data.m1, data.m2
+    a = Fraction(2 * b0 * m1 * m2 + n * (m2 - m1), n * m1 * m2)
+    c = Fraction(m1 + m2, m1 * m2)
+    # a > c (n > 0) or a < -c (n < 0), cleared of n*m1*m2 and of 2*m1 or 2*m2
+    positive = b0 * m2 > n if n > 0 else b0 * m1 > -n
+    return OrbChernReport(n=n, a_scalar=a, c_scalar=c, branch="n>0" if n > 0 else "n<0", positive=positive)

@@ -14,6 +14,7 @@ from sascone import (
     NotFanoError,
     ProductCaseError,
     ProfileParams,
+    ProfileSample,
     ReebRay,
     build_profile,
     f_of_k,
@@ -26,6 +27,8 @@ from sascone import (
     validate_join,
     weight_poly,
 )
+import sascone.profile
+from sascone.emit import emit_csv
 from sascone.profile import _kernel, _Root
 from conftest import CP1, CP2, GENUS2
 from oracles import F_exact, g_raw, quad_f, quad_profile_F, sign_changes
@@ -237,7 +240,8 @@ class TestSampler:
         root = _Root(_kernel(params), k)
         assert root.kind == self.KINDS[abs(k)]
         grid = 101
-        samples, dgs = root.sample(grid, params)
+        columns, dgs = root.sample(grid, params)
+        samples = list(map(ProfileSample._make, zip(*columns)))
         assert [s.z for s in samples] == [(2.0 * i) / (grid - 1) - 1.0 for i in range(grid)]
         for s, dg in zip(samples, dgs):
             f = profile_F(s.z, k, params)
@@ -262,6 +266,70 @@ class TestSampler:
             assert self._close(s.f, profile_F(s.z, k, params), scale)
             assert self._close(s.f, quad_profile_F(s.z, k, 600, 1, 0.5, 0), scale)
         assert profile.report.all_ok
+
+
+class TestColumns:
+    """The stored columns, the rows built from them, and the checks on them."""
+
+    # series and closed kernels, each at both signs of n
+    PARAMS = {
+        ("series", 1): ProfileParams(m1=2, m2=1, d_n=3, r=0.3, n=2, fano_index=2),
+        ("series", -1): ProfileParams(m1=1, m2=2, d_n=3, r=-0.3, n=-2, fano_index=2),
+        ("closed", 1): ProfileParams(m1=600, m2=1, d_n=0, r=0.5, n=1, fano_index=1),
+        ("closed", -1): ASYM,
+    }
+
+    @pytest.mark.parametrize("kind, sign", list(PARAMS))
+    def test_samples_are_the_rows_of_the_columns(self, kind, sign):
+        profile = build_profile(self.PARAMS[kind, sign], grid_size=41)
+        assert profile.report.kernel == kind and profile.params.n * sign > 0
+        assert all(type(col) is tuple and len(col) == 41 for col in profile.columns)
+        assert len(profile.columns) == len(ProfileSample._fields)
+        assert profile.samples == tuple(map(ProfileSample._make, zip(*profile.columns)))
+        assert all(type(s) is ProfileSample for s in profile.samples)
+        assert profile.samples is not profile.samples  # built on every read
+
+    def test_csv_from_columns_equals_csv_from_rows(self):
+        profile = build_profile(ASYM, grid_size=21)
+        header = ("z", "F", "Theta", "ricci_h", "ricci_v")
+        rows = ((s.z, s.f, s.theta, s.ricci_h, s.ricci_v) for s in profile.samples)
+        assert emit_csv(header, zip(*profile.columns)) == emit_csv(header, rows)
+
+    def test_build_constructs_no_rows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProfileSample was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ProfileSample, "_make", refuse)
+            patch.setattr(ProfileSample, "__new__", refuse)
+            profiles = [build_profile(p, grid_size=101) for p in self.PARAMS.values()]
+        assert all(len(p.samples) == 101 for p in profiles)
+
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.integers(0, 4),
+        st.floats(0.05, 0.95), st.integers(1, 12), st.integers(1, 4), st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_horizontal_verdict_matches_rowwise_form(self, m1, m2, d_n, rmag, nmag, fano, sign):
+        n = sign * nmag
+        params = ProfileParams(m1=m1, m2=m2, d_n=d_n, r=sign * rmag, n=n, fano_index=fano)
+        profile = build_profile(params, grid_size=21)
+        assert profile.report.horizontal_positive == all(s.ricci_h * n > 0.0 for s in profile.samples)
+
+    # at d_n = 1026, r = 0.999 the solve itself would fail: f is not finite on [-1, 1]
+    @pytest.mark.parametrize("d_n, r, n", [(600, 0.9, 4), (600, -0.9, -4), (1026, 0.999, 4)])
+    def test_underflowing_weight_is_rejected_before_the_solve(self, d_n, r, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_solve_k was called")
+
+        monkeypatch.setattr(sascone.profile, "_solve_k", refuse)
+        params = ProfileParams(m1=3, m2=2, d_n=d_n, r=r, n=n, fano_index=2)
+        assert weight_poly(-math.copysign(1.0, r), r, d_n) == 0.0
+        with pytest.raises(InvalidParameterError, match=f"d_n = {d_n}, r = {r}: p or Theta"):
+            build_profile(params)
+        # a bad tolerance is still reported first
+        with pytest.raises(InvalidParameterError, match="tol_rel"):
+            build_profile(params, tol_rel=math.nan)
 
 
 class TestKernelAccuracy:

@@ -79,6 +79,18 @@ def test_report_verdict_matches_predicate(join, ray):
 
 
 @given(join_strategy(), ray_strategy())
+@settings(max_examples=300)
+def test_report_scalars_match_their_definition(join, ray):
+    if (ray.v1, ray.v2) == (join.w1, join.w2):
+        return
+    data = quotient_data(join, ray)
+    report = orb_c1_report(join, ray)
+    b0 = join.base.c1_coeff
+    assert report.a_scalar == Fraction(2 * b0, data.n) + Fraction(1, data.m1) - Fraction(1, data.m2)
+    assert report.c_scalar == Fraction(1, data.m1) + Fraction(1, data.m2)
+
+
+@given(join_strategy(), ray_strategy())
 @settings(max_examples=200)
 def test_quotient_invariants(join, ray):
     if (ray.v1, ray.v2) == (join.w1, join.w2):
