@@ -24,7 +24,6 @@ from .core import BaseManifold, JoinParams, ReebRay, parse_base, validate_join
 from .errors import (
     BaseMismatchError,
     BracketFailureError,
-    GoldenMismatchError,
     InvalidParameterError,
     NonpositiveVolumeError,
     NotCoprimeError,
@@ -48,7 +47,6 @@ from .profile import (
     g_func,
     profile_F,
     profile_params_from_ray,
-    ricci_box_holds,
     solve_k,
     weight_poly,
 )
@@ -58,6 +56,7 @@ from .quotient import (
     orb_c1_report,
     orb_fano_predicate,
     quotient_data,
+    ricci_box_holds,
 )
 from .topology import (
     BouquetLabel,
@@ -79,7 +78,6 @@ __all__ = [
     "BracketFailureError",
     "CheckOutcome",
     "GoldenCheck",
-    "GoldenMismatchError",
     "InvalidParameterError",
     "JoinParams",
     "MetricProfile",

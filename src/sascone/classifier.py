@@ -18,6 +18,10 @@ with positive denominators:
 `PositivityRange` holds them as `Fraction`s. `classify_ray` decides from
 the pairs by strict cross-multiplication, so boundary rays classify as
 indefinite, and independently of `quotient.orb_fano_predicate`.
+
+A `JoinParams` has already checked its integers, so `positivity_range`
+and `classify_ray` trust them; only `positivity_range_raw`, which takes
+raw integers, checks that l1, l2, w1, w2 are positive ints with w1 >= w2.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import JoinParams, ReebRay, _require_positive_int
+from .core import JoinParams, ReebRay, _require_int
 from .errors import InvalidParameterError, NonpositiveVolumeError
 from .topology import c1_gamma_coeff_sphere_join
 
@@ -94,10 +98,6 @@ class PositivityRange:
 
 def _range_bounds(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> tuple:
     """Kind, lower and upper bound of the range; a finite bound is an unreduced (num, den)."""
-    for name, value in (("l1", l1), ("l2", l2), ("w1", w1), ("w2", w2)):
-        _require_positive_int(value, name)
-    if w1 < w2:
-        raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({w1}, {w2})")
     shift, top, bottom = l2 * c1_coeff, l1 * w1, l1 * w2
     if c1_coeff <= 0:
         return RangeKind.EMPTY, None, None
@@ -108,6 +108,13 @@ def _range_bounds(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> tuple:
     return RangeKind.HALF_LINE, (top - shift, bottom), None
 
 
+def _as_range(kind: RangeKind, lower: tuple | None, upper: tuple | None) -> PositivityRange:
+    """The range of `_range_bounds`' output, with its bounds as Fractions."""
+    return PositivityRange(
+        kind, None if lower is None else Fraction(*lower), None if upper is None else Fraction(*upper)
+    )
+
+
 def positivity_range_raw(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> PositivityRange:
     """Positivity range from raw parameters, skipping join validation.
 
@@ -115,17 +122,16 @@ def positivity_range_raw(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> P
     tables that include non-smooth (l, w) combinations; `validate_join`
     remains the gate for actual joins.
     """
-    kind, lower, upper = _range_bounds(l1, l2, w1, w2, c1_coeff)
-    return PositivityRange(
-        kind,
-        None if lower is None else Fraction(*lower),
-        None if upper is None else Fraction(*upper),
-    )
+    for name, value in (("l1", l1), ("l2", l2), ("w1", w1), ("w2", w2)):
+        _require_int(value, name)
+    if w1 < w2:
+        raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({w1}, {w2})")
+    return _as_range(*_range_bounds(l1, l2, w1, w2, c1_coeff))
 
 
 def positivity_range(join: JoinParams) -> PositivityRange:
     """Exact positive subset of the w-cone of a validated join."""
-    return positivity_range_raw(join.l1, join.l2, join.w1, join.w2, join.base.c1_coeff)
+    return _as_range(*_range_bounds(join.l1, join.l2, join.w1, join.w2, join.base.c1_coeff))
 
 
 def classify_ray(join: JoinParams, ray: ReebRay) -> TypeVerdict:
@@ -202,7 +208,7 @@ def h1_signed(s_total: float, volume: float, n_half: int) -> float:
     of the binary mantissas of S and V and the exponents are summed
     exactly, so every representable value is returned.
     """
-    _require_positive_int(n_half, "n_half")
+    _require_int(n_half, "n_half")
     volume = float(volume)
     s_total = float(s_total)
     if not (math.isfinite(s_total) and math.isfinite(volume)):

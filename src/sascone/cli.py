@@ -31,7 +31,7 @@ from .errors import (
     SasconeError,
     exit_code_for,
 )
-from .goldens import default_checks, encode_range, replay_tables
+from .goldens import default_checks, replay_tables
 from .profile import (
     DEFAULT_GRID,
     MetricProfile,
@@ -159,17 +159,10 @@ def _parse_join(args: argparse.Namespace) -> tuple[JoinParams, list[str]]:
     return join, notes
 
 
-def _join_record(join: JoinParams) -> dict:
-    return {
-        "base": {"dim_c": join.base.dim_c, "c1_coeff": join.base.c1_coeff, "label": join.base.label},
-        "l1": join.l1, "l2": join.l2, "w1": join.w1, "w2": join.w2,
-    }
-
-
 def _cmd_invariants(args: argparse.Namespace) -> CommandResult:
     join, notes = _parse_join(args)
     base = join.base
-    record: dict = {"join": _join_record(join), "notes": notes}
+    record: dict = {"join": join, "notes": notes}
     record["torsion_order"] = torsion_order(join)
     record["torsion_caveat"] = base.dim_c == 1
     try:
@@ -201,8 +194,8 @@ def _cmd_quotient(args: argparse.Namespace) -> CommandResult:
     data = quotient_data(join, ray)
     report = orb_c1_report(join, ray, data)
     record = {
-        "join": _join_record(join),
-        "ray": {"v1": ray.v1, "v2": ray.v2},
+        "join": join,
+        "ray": ray,
         "quotient": data,
         "orb_fano": report.positive,
         "orb_c1": report,
@@ -226,7 +219,7 @@ def _cmd_classify(args: argparse.Namespace) -> CommandResult:
         notes.append("ray lies exactly on a range boundary; boundaries classify as indefinite")
     record = {
         "verdict": verdict,
-        "range": encode_range(rng),
+        "range": rng,
         "ratio": ray.ratio,
         "distance_to_boundary": distance,
         "near_boundary": near,
@@ -242,7 +235,7 @@ def _cmd_range(args: argparse.Namespace) -> CommandResult:
     rng = positivity_range(join)
     if args.format == "text":
         return CommandResult(stdout=rng.as_text() + "\n")
-    record: dict = {"range": encode_range(rng), "notes": notes}
+    record: dict = {"range": rng, "notes": notes}
     with contextlib.suppress(BaseMismatchError):  # the rules need a projective-space base
         record["whole_cone"] = whole_cone_rules(join)
     return CommandResult(stdout=emit_json(record))
@@ -254,12 +247,7 @@ def _cmd_bouquet(args: argparse.Namespace) -> CommandResult:
         if args.k is None or args.l is None or any(v is not None for v in join_flags):
             raise InvalidParameterError("give either --k and --l, or the four join flags")
         partition = bouquet_partition(args.k, args.l)
-        record = {
-            "k": args.k,
-            "l": args.l,
-            "level_sets": {str(i): sorted(js) for i, js in partition.items()},
-        }
-        return CommandResult(stdout=emit_json(record))
+        return CommandResult(stdout=emit_json({"k": args.k, "l": args.l, "level_sets": partition}))
     if any(v is None for v in join_flags):
         raise InvalidParameterError("give either --k and --l, or the four join flags")
     join, notes = _parse_join(args)
@@ -271,7 +259,7 @@ def _cmd_bouquet(args: argparse.Namespace) -> CommandResult:
     record = {
         "applicable": True,
         "label": label,
-        "level_set": sorted(bouquet_level_set(label.k, label.l, label.i)),
+        "level_set": bouquet_level_set(label.k, label.l, label.i),
         "notes": notes,
     }
     return CommandResult(stdout=emit_json(record))
@@ -306,8 +294,7 @@ def _cmd_metric_from_ray(args: argparse.Namespace) -> CommandResult:
     ray = ReebRay(args.v1, args.v2)
     params, data = profile_params_from_ray(join, ray, r=args.r)
     profile = build_profile(params, grid_size=args.grid, tol_rel=args.tol)
-    extra = {"join": _join_record(join), "ray": {"v1": ray.v1, "v2": ray.v2},
-             "quotient": data, "notes": notes}
+    extra = {"join": join, "ray": ray, "quotient": data, "notes": notes}
     return _profile_result(profile, args.out, extra_report=extra)
 
 

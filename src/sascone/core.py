@@ -32,17 +32,13 @@ from .errors import (
 _BASE_RE = re.compile(r"^(?:cp(?P<p>\d+)|sigma(?P<g>\d+)|custom:(?P<d>\d+):(?P<b>-?\d+))$")
 
 
-def _require_positive_int(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _require_int(value: object, name: str, low: int | None = 1) -> int:
+    """`value` if it is an int, not a bool, and at least `low` (any int when `low` is None)."""
+    # an exact int, the type of every valid call, skips both isinstance calls
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise InvalidParameterError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value}")
-    return value
-
-
-def _require_int(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{name} must be an int, got {type(value).__name__}")
+    if low is not None and value < low:
+        raise InvalidParameterError(f"{name} must be an int >= {low}, got {value}")
     return value
 
 
@@ -61,8 +57,8 @@ class BaseManifold:
     label: str = ""
 
     def __post_init__(self) -> None:
-        _require_positive_int(self.dim_c, "dim_c")
-        _require_int(self.c1_coeff, "c1_coeff")
+        _require_int(self.dim_c, "dim_c")
+        _require_int(self.c1_coeff, "c1_coeff", None)
 
     @property
     def is_fano(self) -> bool:
@@ -77,14 +73,13 @@ class BaseManifold:
     @classmethod
     def projective_space(cls, p: int) -> "BaseManifold":
         """CP^p with the Fubini-Study class: dim_c = p, c1 coefficient p + 1."""
-        _require_positive_int(p, "p")
+        _require_int(p, "p")
         return cls(dim_c=p, c1_coeff=p + 1, label=f"CP{p}")
 
     @classmethod
     def riemann_surface(cls, genus: int) -> "BaseManifold":
         """Closed surface of the given genus: dim_c = 1, c1 coefficient 2 - 2g."""
-        if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
-            raise InvalidParameterError(f"genus must be a nonnegative int, got {genus!r}")
+        _require_int(genus, "genus", 0)
         return cls(dim_c=1, c1_coeff=2 - 2 * genus, label=f"Sigma{genus}")
 
 
@@ -118,7 +113,7 @@ class JoinParams:
 
     def __post_init__(self) -> None:
         for name in ("l1", "l2", "w1", "w2"):
-            _require_positive_int(getattr(self, name), name)
+            _require_int(getattr(self, name), name)
         if self.w1 < self.w2:
             raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({self.w1}, {self.w2})")
         if gcd(self.l1, self.l2) != 1:
@@ -142,8 +137,8 @@ def validate_join(l1: int, l2: int, w1: int, w2: int, base: BaseManifold) -> Joi
     the swap). Idempotent: feeding back the fields of a valid JoinParams
     returns an equal JoinParams.
     """
-    _require_positive_int(w1, "w1")
-    _require_positive_int(w2, "w2")
+    _require_int(w1, "w1")
+    _require_int(w2, "w2")
     if w1 < w2:
         w1, w2 = w2, w1
     return JoinParams(base=base, l1=l1, l2=l2, w1=w1, w2=w2)
@@ -157,16 +152,16 @@ class ReebRay:
     v2: int
 
     def __post_init__(self) -> None:
-        _require_positive_int(self.v1, "v1")
-        _require_positive_int(self.v2, "v2")
+        _require_int(self.v1, "v1")
+        _require_int(self.v2, "v2")
         if gcd(self.v1, self.v2) != 1:
             raise NotCoprimeError("v1", self.v1, "v2", self.v2)
 
     @classmethod
     def reduced(cls, v1: int, v2: int) -> "ReebRay":
         """Canonicalize an unreduced positive pair by dividing out the gcd."""
-        _require_positive_int(v1, "v1")
-        _require_positive_int(v2, "v2")
+        _require_int(v1, "v1")
+        _require_int(v2, "v2")
         g = gcd(v1, v2)
         return cls(v1 // g, v2 // g)
 

@@ -28,15 +28,13 @@ def format_float(x: float) -> str:
 def to_jsonable(obj: Any) -> Any:
     """Normalize a record into plain JSON-compatible values."""
     if obj is None or isinstance(obj, (bool, str)):
-        return obj
+        return obj.value if isinstance(obj, Enum) else obj  # the package's enums are str enums
     if isinstance(obj, int):
         return obj if _INT64_MIN <= obj <= _INT64_MAX else str(obj)
     if isinstance(obj, float):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, Enum):
-        return to_jsonable(obj.value)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if hasattr(obj, "_asdict"):  # NamedTuple

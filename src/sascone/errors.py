@@ -72,15 +72,9 @@ class BracketFailureError(PreconditionError):
     """Root solve failed: f is not finite on the bracket, or |f| at the best k exceeds tol."""
 
 
-class GoldenMismatchError(SasconeError):
-    """A golden-table replay check disagreed with the computed value."""
-
-
 def exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, ValidationError):
         return EXIT_VALIDATION
     if isinstance(exc, PreconditionError):
         return EXIT_PRECONDITION
-    if isinstance(exc, GoldenMismatchError):
-        return EXIT_MISMATCH
     return 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .classifier import PositivityRange, positivity_range, positivity_range_raw
+from .classifier import positivity_range, positivity_range_raw
 from .core import parse_base, validate_join
 from .topology import (
     b_invariant_wcone,
@@ -47,14 +47,6 @@ class CheckOutcome:
     ok: bool
 
 
-def encode_range(rng: PositivityRange) -> dict[str, Any]:
-    return {
-        "kind": rng.kind.value,
-        "lower": None if rng.lower is None else str(rng.lower),
-        "upper": None if rng.upper is None else str(rng.upper),
-    }
-
-
 def _interval(lower: str, upper: str) -> dict[str, Any]:
     return {"kind": "interval", "lower": lower, "upper": upper}
 
@@ -71,12 +63,14 @@ def _join_from_args(args: dict[str, Any]):
 
 
 def run_check(check: GoldenCheck) -> Any:
+    from .emit import to_jsonable  # here, so that `import sascone` loads neither emit nor json
+
     args = check.args
     op = check.op
     if op == "range":
-        return encode_range(positivity_range(_join_from_args(args)))
+        return to_jsonable(positivity_range(_join_from_args(args)))
     if op == "range_raw":
-        return encode_range(
+        return to_jsonable(
             positivity_range_raw(args["l1"], args["l2"], args["w1"], args["w2"], args["c1_coeff"])
         )
     if op == "b_invariant":

@@ -72,9 +72,9 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .core import JoinParams, ReebRay, _require_positive_int
+from .core import JoinParams, ReebRay, _require_int
 from .errors import BracketFailureError, InvalidParameterError
-from .quotient import QuotientData, quotient_data
+from .quotient import QuotientData, quotient_data, ricci_box_holds
 
 DEFAULT_GRID = 201
 # largest sum |Q_j| / ((a+b) * int(p)) at which the closed form runs
@@ -100,13 +100,12 @@ class ProfileParams:
     fano_index: int
 
     def __post_init__(self) -> None:
-        _require_positive_int(self.m1, "m1")
-        _require_positive_int(self.m2, "m2")
-        _require_positive_int(self.fano_index, "fano_index")
-        if isinstance(self.d_n, bool) or not isinstance(self.d_n, int) or self.d_n < 0:
-            raise InvalidParameterError(f"d_n must be a nonnegative int, got {self.d_n!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n == 0:
-            raise InvalidParameterError(f"n must be a nonzero int, got {self.n!r}")
+        _require_int(self.m1, "m1")
+        _require_int(self.m2, "m2")
+        _require_int(self.fano_index, "fano_index")
+        _require_int(self.d_n, "d_n", 0)
+        if _require_int(self.n, "n", None) == 0:
+            raise InvalidParameterError("n must be a nonzero int, got 0")
         object.__setattr__(self, "r", float(self.r))
         if not 0.0 < abs(self.r) < 1.0:
             raise InvalidParameterError(f"r must satisfy 0 < |r| < 1, got {self.r}")
@@ -439,16 +438,6 @@ def solve_k(params: ProfileParams, tol_rel: float = 1e-12) -> float:
     return _solve_k(kern := _kernel(params), _tolerance(kern, tol_rel)).k
 
 
-def ricci_box_holds(fano_index: int, n: int, m1: int, m2: int) -> bool:
-    """The two endpoint box conditions, as exact integer inequalities.
-
-    (I_N/n - 1/m2)*n > 0 and (I_N/n + 1/m1)*n > 0 clear denominators to
-    I_N*m2 > n and I_N*m1 > -n. For n > 0 the second is automatic, for
-    n < 0 the first; both fail for every n when I_N <= 0.
-    """
-    return fano_index * m2 > n and fano_index * m1 > -n
-
-
 def build_profile(
     params: ProfileParams, grid_size: int = DEFAULT_GRID, tol_rel: float = 1e-12
 ) -> MetricProfile:
@@ -462,8 +451,7 @@ def build_profile(
     NaN, infinite or negative, and when p or Theta = F/p leaves the double
     range on the grid, before the solve when p is 0 at z = -sign(r).
     """
-    if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 3:
-        raise InvalidParameterError(f"grid_size must be an int >= 3, got {grid_size!r}")
+    _require_int(grid_size, "grid_size", 3)
     m1, m2, r, d_n, n, fano = params.m1, params.m2, params.r, params.d_n, params.n, params.fano_index
     try:
         kern = _kernel(params)
@@ -487,6 +475,12 @@ def build_profile(
     log_dg = math.log((1.0 / m1 + 1.0 / m2) * _k_lead(k))
     monotone = all(math.isfinite(log_dg - k * z - abs(k)) for z in (-1.0, 1.0))
 
+    # h * n > 0 at every point: the column's extreme on the side of n decides.
+    # min and max can skip a NaN, but it makes the sum NaN; so does +inf
+    # beside -inf, a column of mixed sign anyway.
+    horizontal_positive = not math.isnan(sum(ricci_h)) and (
+        min(ricci_h) > 0.0 if n > 0 else max(ricci_h) < 0.0
+    )
     p_lo = weight_poly(-1.0, r, d_n)
     p_hi = weight_poly(1.0, r, d_n)
     box_ok = ricci_box_holds(fano, n, m1, m2)
@@ -505,7 +499,7 @@ def build_profile(
         box_ok=box_ok,
         box_first=fano * m2 - n,
         box_second=fano * m1 + n,
-        horizontal_positive=all(h * n > 0.0 for h in ricci_h),
+        horizontal_positive=horizontal_positive,
         vertical_positive=monotone,
         ke_balance=kern.f(0.0),
         is_ke=abs(k) <= 1e-13

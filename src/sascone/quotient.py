@@ -17,7 +17,11 @@ branch selected by the sign of w1*v2 - w2*v1:
     sign < 0:  I_N*l2*v1 + l1*(w1*v2 - w2*v1) > 0
     sign = 0:  both branches degenerate to I_N > 0
 
-where I_N is the base's c1 coefficient.
+where I_N is the base's c1 coefficient. In the quotient's own data
+(n, m1, m2) the same positivity is the pair of integer box conditions
+I_N*m2 > n and I_N*m1 > -n; `ricci_box_holds` is their one home, used by
+`orb_c1_report` and by the profile certificate. `orb_fano_predicate`
+keeps the join-level derivation above, so the two can be compared.
 """
 
 from __future__ import annotations
@@ -55,6 +59,16 @@ def quotient_data(join: JoinParams, ray: ReebRay) -> QuotientData:
     s = gcd(abs(d), join.l2)
     m = join.l2 // s
     return QuotientData(s, join.l1 * (d // s), m, m * ray.v1, m * ray.v2)
+
+
+def ricci_box_holds(fano_index: int, n: int, m1: int, m2: int) -> bool:
+    """The two endpoint box conditions, as exact integer inequalities.
+
+    (I_N/n - 1/m2)*n > 0 and (I_N/n + 1/m1)*n > 0 clear denominators to
+    I_N*m2 > n and I_N*m1 > -n. For n > 0 the second is automatic, for
+    n < 0 the first; both fail for every n when I_N <= 0.
+    """
+    return fano_index * m2 > n and fano_index * m1 > -n
 
 
 def orb_fano_predicate(join: JoinParams, ray: ReebRay) -> bool:
@@ -100,5 +114,5 @@ def orb_c1_report(join: JoinParams, ray: ReebRay, data: QuotientData | None = No
     a = Fraction(2 * b0 * m1 * m2 + n * (m2 - m1), n * m1 * m2)
     c = Fraction(m1 + m2, m1 * m2)
     # a > c (n > 0) or a < -c (n < 0), cleared of n*m1*m2 and of 2*m1 or 2*m2
-    positive = b0 * m2 > n if n > 0 else b0 * m1 > -n
+    positive = ricci_box_holds(b0, n, m1, m2)
     return OrbChernReport(n=n, a_scalar=a, c_scalar=c, branch="n>0" if n > 0 else "n<0", positive=positive)

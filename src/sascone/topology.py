@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import JoinParams, _require_positive_int
+from .core import JoinParams, _require_int
 from .errors import BaseMismatchError, NotFanoError, OddTotalError
 
 
@@ -26,7 +26,7 @@ class BouquetLabel:
 
 
 def _require_projective_base(p: int, join: JoinParams) -> None:
-    _require_positive_int(p, "p")
+    _require_int(p, "p")
     base = join.base
     if base.dim_c != p or base.c1_coeff != p + 1:
         raise BaseMismatchError(
@@ -72,14 +72,14 @@ def bouquet_label(join: JoinParams) -> BouquetLabel:
 def bouquet_level_set(k: int, l: int, i: int) -> set[int]:
     """Level set {j in 1..k : gcd(l, 2(k-j)) = i} of the bouquet map."""
     partition = bouquet_partition(k, l)
-    _require_positive_int(i, "i")
+    _require_int(i, "i")
     return partition.get(i, set())
 
 
 def bouquet_partition(k: int, l: int) -> dict[int, set[int]]:
     """Partition of 1..k by the bouquet map j -> gcd(l, 2(k-j))."""
-    _require_positive_int(k, "k")
-    _require_positive_int(l, "l")
+    _require_int(k, "k")
+    _require_int(l, "l")
     out: dict[int, set[int]] = {}
     for j in range(1, k + 1):
         out.setdefault(gcd(l, 2 * (k - j)), set()).add(j)

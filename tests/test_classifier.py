@@ -63,6 +63,14 @@ class TestPositivityRange:
         assert positivity_range_raw(1, 4, 12, 1, 3).kind is RangeKind.ENTIRE
         assert positivity_range_raw(1, 3, 12, 1, 3).kind is RangeKind.HALF_LINE
 
+    @pytest.mark.parametrize(
+        "l1, l2, w1, w2",
+        [(0, 1, 1, 1), (1, -3, 1, 1), (1, 1, 2.0, 1), (1, 1, 1, True), (True, 1, 1, 1), (1, 1, 2, 3)],
+    )
+    def test_raw_rejects_nonpositive_noninteger_and_unsorted(self, l1, l2, w1, w2):
+        with pytest.raises(InvalidParameterError):
+            positivity_range_raw(l1, l2, w1, w2, 2)
+
     def test_as_text(self):
         assert positivity_range(_join(4, 1, 1, 1)).as_text() == "1/2 < v1/v2 < 2"
         assert positivity_range(_join(1, 1, 7, 1)).as_text() == "5 < v1/v2"

@@ -310,6 +310,15 @@ def test_replay_mismatch_exit_code(monkeypatch, capsys):
     assert "FAIL made-up/check" in out
 
 
+def test_replay_range_mismatch_reports_plain_values(monkeypatch, capsys):
+    args = {"l1": 4, "l2": 1, "w1": 1, "w2": 1, "base": "custom:1:3"}
+    expected = {"kind": "interval", "lower": "1/2", "upper": "2"}
+    monkeypatch.setattr(cli, "default_checks", lambda: [GoldenCheck("bad/range", "range", args, expected)])
+    assert cli.main(["replay-tables"]) == 4
+    got = "{'kind': 'interval', 'lower': '1/4', 'upper': '4'}"
+    assert f"FAIL bad/range expected={expected!r} got={got}\n" in capsys.readouterr().out
+
+
 def test_config_batch(tmp_path):
     config = tmp_path / "batch.json"
     config.write_text(

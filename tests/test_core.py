@@ -93,6 +93,34 @@ def test_base_manifold_validation():
         BaseManifold.projective_space(0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BaseManifold.riemann_surface(-1),
+        lambda: BaseManifold.riemann_surface(True),
+        lambda: BaseManifold.riemann_surface(1.0),
+        lambda: BaseManifold(dim_c=True, c1_coeff=1),
+        lambda: BaseManifold(dim_c=1, c1_coeff=False),
+        lambda: BaseManifold(dim_c=1, c1_coeff=2.0),
+        lambda: ReebRay(1, True),
+        lambda: ReebRay.reduced(0, 2),
+        lambda: validate_join(1, 1, "3", 1, CP1),
+    ],
+)
+def test_integer_fields_reject_bools_floats_and_values_below_bound(make):
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
+def test_integer_subclasses_are_accepted():
+    class Count(int):
+        pass
+
+    assert BaseManifold.riemann_surface(Count(0)).c1_coeff == 2
+    assert BaseManifold(dim_c=Count(2), c1_coeff=Count(-1)).dim_c == 2
+    assert ReebRay(Count(3), Count(2)).ratio == Fraction(3, 2)
+
+
 def test_parse_base():
     assert parse_base("cp2") == CP2
     assert parse_base("CP1") == CP1

@@ -8,7 +8,9 @@ import pytest
 from sascone import (
     ProfileParams,
     QuotientData,
+    RangeKind,
     ReebRay,
+    TypeVerdict,
     build_profile,
     positivity_range,
     quotient_data,
@@ -29,6 +31,15 @@ def test_float_seventeen_significant_digits():
     assert format_float(0.1) == "0.10000000000000001"
     assert format_float(1.0) == "1"
     assert '0.10000000000000001' in emit_json({"x": 0.1})
+
+
+def test_str_enums_become_plain_strings():
+    for member in (RangeKind.INTERVAL, RangeKind.EMPTY, TypeVerdict.POSITIVE):
+        value = to_jsonable(member)
+        assert type(value) is str and value == member.value
+        assert emit_json(member) == f'"{member.value}"\n'
+    record = to_jsonable(positivity_range(validate_join(4, 1, 1, 1, CP1)))
+    assert repr(record) == "{'kind': 'interval', 'lower': '1/2', 'upper': '2'}"
 
 
 def test_non_finite_floats_rejected():

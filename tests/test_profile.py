@@ -316,6 +316,41 @@ class TestColumns:
         profile = build_profile(params, grid_size=21)
         assert profile.report.horizontal_positive == all(s.ricci_h * n > 0.0 for s in profile.samples)
 
+    @staticmethod
+    def _inject_ricci_h(monkeypatch, column):
+        sample = _Root.sample
+
+        def inject(root, grid_size, params):
+            (zs, fs, thetas, _, ricci_v), dgs = sample(root, grid_size, params)
+            return (zs, fs, thetas, tuple(column), ricci_v), dgs
+
+        monkeypatch.setattr(_Root, "sample", inject)
+
+    @pytest.mark.parametrize("params", [SYM, ASYM])  # n = 1 and n = -4
+    def test_nan_inside_horizontal_column_fails(self, params, monkeypatch):
+        side = math.copysign(1.0, params.n)
+        self._inject_ricci_h(monkeypatch, (side, 2 * side, math.nan, 3 * side, side))
+        assert not build_profile(params, grid_size=5).report.horizontal_positive
+
+    @pytest.mark.parametrize("params", [SYM, ASYM])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            (math.nan, math.inf, -math.inf, -math.inf, math.nan),  # sampled at k = 5e-324
+            (math.inf, 1.0, 5e-324, 2.0, math.inf),
+            (-math.inf, -1.0, -5e-324, -2.0, -math.inf),
+            (1.0, 0.0, 2.0, 3.0, 4.0),
+            (-1.0, -0.0, -2.0, -3.0, -4.0),
+            (math.inf, 1.0, 1.0, 1.0, -math.inf),
+            (1e308, 1e308, 1e308, -math.inf, 1.0),  # the sum is +inf before it meets -inf
+            (-1e308, -1e308, -1e308, -1e308, -1.0),  # the sum overflows to -inf
+        ],
+    )
+    def test_horizontal_verdict_matches_rowwise_form_on_extreme_columns(self, params, column, monkeypatch):
+        self._inject_ricci_h(monkeypatch, column)
+        report = build_profile(params, grid_size=5).report
+        assert report.horizontal_positive == all(h * params.n > 0.0 for h in column)
+
     # at d_n = 1026, r = 0.999 the solve itself would fail: f is not finite on [-1, 1]
     @pytest.mark.parametrize("d_n, r, n", [(600, 0.9, 4), (600, -0.9, -4), (1026, 0.999, 4)])
     def test_underflowing_weight_is_rejected_before_the_solve(self, d_n, r, n, monkeypatch):
@@ -381,6 +416,16 @@ class TestProfileParamsValidation:
     def test_d_n_nonnegative(self):
         with pytest.raises(InvalidParameterError):
             ProfileParams(1, 1, -1, 0.5, 1, 1)
+
+    @pytest.mark.parametrize("d_n, n", [(True, 1), (1.0, 1), (0, True), (0, 1.0), (0, -0.0)])
+    def test_d_n_and_n_must_be_ints(self, d_n, n):
+        with pytest.raises(InvalidParameterError):
+            ProfileParams(1, 1, d_n, 0.5, n, 1)
+
+    @pytest.mark.parametrize("grid_size", [2, True, 3.0, None])
+    def test_grid_size_is_an_int_of_at_least_three(self, grid_size):
+        with pytest.raises(InvalidParameterError):
+            build_profile(SYM, grid_size=grid_size)
 
 
 class TestRicciBox:
