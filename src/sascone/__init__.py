@@ -7,67 +7,52 @@ certifies explicit admissible metric profiles with positive Ricci
 curvature. All classification arithmetic is exact (integers and
 rationals); the metric kernel uses closed-form integration in double
 precision. Every public type is an immutable value.
+
+`import sascone` loads no submodule. Each public name resolves on first
+use: the module `__getattr__` imports the submodule that defines it, then
+caches the value here, so later lookups are plain attribute reads.
+`__all__` lists the same names, and `from sascone import *` binds them all.
 """
 
-from .classifier import (
-    PositivityRange,
-    RangeKind,
-    TypeVerdict,
-    WholeConeReport,
-    classify_ray,
-    h1_signed,
-    positivity_range,
-    positivity_range_raw,
-    whole_cone_rules,
-)
-from .core import BaseManifold, JoinParams, ReebRay, parse_base, validate_join
-from .errors import (
-    BaseMismatchError,
-    BracketFailureError,
-    InvalidParameterError,
-    NonpositiveVolumeError,
-    NotCoprimeError,
-    NotFanoError,
-    OddTotalError,
-    PreconditionError,
-    ProductCaseError,
-    SasconeError,
-    SmoothnessViolationError,
-    ValidationError,
-)
-from .goldens import CheckOutcome, GoldenCheck, default_checks, replay_tables
-from .profile import (
-    MetricProfile,
-    ProfileParams,
-    ProfileSample,
-    VerificationReport,
-    build_profile,
-    f_of_k,
-    g_dt,
-    g_func,
-    profile_F,
-    profile_params_from_ray,
-    solve_k,
-    weight_poly,
-)
-from .quotient import (
-    OrbChernReport,
-    QuotientData,
-    orb_c1_report,
-    orb_fano_predicate,
-    quotient_data,
-    ricci_box_holds,
-)
-from .topology import (
-    BouquetLabel,
-    b_invariant_wcone,
-    bouquet_label,
-    bouquet_level_set,
-    bouquet_partition,
-    c1_gamma_coeff_sphere_join,
-    spin_check,
-    torsion_order,
-)
+import importlib as _importlib
+
+# The submodule that defines each public name.
+_HOMES = {
+    name: module
+    for module, names in (
+        ("classifier", ("PositivityRange", "RangeKind", "TypeVerdict", "WholeConeReport",
+                        "classify_ray", "h1_signed", "positivity_range", "positivity_range_raw",
+                        "whole_cone_rules")),
+        ("core", ("BaseManifold", "JoinParams", "ReebRay", "parse_base", "validate_join")),
+        ("errors", ("BaseMismatchError", "BracketFailureError", "InvalidParameterError",
+                    "NonpositiveVolumeError", "NotCoprimeError", "NotFanoError", "OddTotalError",
+                    "PreconditionError", "ProductCaseError", "SasconeError",
+                    "SmoothnessViolationError", "ValidationError")),
+        ("goldens", ("CheckOutcome", "GoldenCheck", "default_checks", "replay_tables")),
+        ("profile", ("MetricProfile", "ProfileParams", "ProfileSample", "VerificationReport",
+                     "build_profile", "f_of_k", "g_dt", "g_func", "profile_F",
+                     "profile_params_from_ray", "solve_k", "weight_poly")),
+        ("quotient", ("OrbChernReport", "QuotientData", "orb_c1_report", "orb_fano_predicate",
+                      "quotient_data", "ricci_box_holds")),
+        ("topology", ("BouquetLabel", "b_invariant_wcone", "bouquet_label", "bouquet_level_set",
+                      "bouquet_partition", "c1_gamma_coeff_sphere_join", "spin_check",
+                      "torsion_order")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOMES.keys())
+
 
 __version__ = "0.1.0"
 

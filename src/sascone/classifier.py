@@ -58,13 +58,14 @@ class PositivityRange:
     upper: Fraction | None = None
 
     def __post_init__(self) -> None:
+        lo, hi = self.lower, self.upper  # decided on integers: Fraction denominators are positive
         if self.kind is RangeKind.INTERVAL:
-            if self.lower is None or self.upper is None or not 0 <= self.lower < self.upper:
-                raise InvalidParameterError(f"bad interval bounds ({self.lower}, {self.upper})")
+            if lo is None or hi is None or not 0 <= lo.numerator * hi.denominator < hi.numerator * lo.denominator:
+                raise InvalidParameterError(f"bad interval bounds ({lo}, {hi})")
         elif self.kind is RangeKind.HALF_LINE:
-            if self.lower is None or self.lower < 0 or self.upper is not None:
-                raise InvalidParameterError(f"bad half-line bound {self.lower}")
-        elif self.lower is not None or self.upper is not None:
+            if lo is None or lo.numerator < 0 or hi is not None:
+                raise InvalidParameterError(f"bad half-line bound {lo}")
+        elif lo is not None or hi is not None:
             raise InvalidParameterError(f"{self.kind.value} range carries no bounds")
 
     def contains(self, ratio: Fraction) -> bool:

@@ -12,54 +12,29 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .classifier import classify_ray, h1_signed, positivity_range, whole_cone_rules
-from .core import JoinParams, ReebRay, parse_base, validate_join
-from .emit import emit_csv, emit_json
-from .errors import (
-    EXIT_CERTIFICATE,
-    EXIT_MISMATCH,
-    EXIT_OK,
-    BaseMismatchError,
-    InvalidParameterError,
-    OddTotalError,
-    SasconeError,
-    exit_code_for,
-)
-from .goldens import default_checks, replay_tables
-from .profile import (
-    DEFAULT_GRID,
-    MetricProfile,
-    ProfileParams,
-    build_profile,
-    profile_params_from_ray,
-)
-from .quotient import orb_c1_report, quotient_data
-from .topology import (
-    _require_projective_base,
-    b_invariant_wcone,
-    bouquet_label,
-    bouquet_level_set,
-    bouquet_partition,
-    c1_gamma_coeff_sphere_join,
-    spin_check,
-    torsion_order,
-)
+from .errors import (EXIT_CERTIFICATE, EXIT_MISMATCH, EXIT_OK, BaseMismatchError, InvalidParameterError,
+                     OddTotalError, SasconeError, exit_code_for)
+
+if TYPE_CHECKING:  # each handler imports the library modules it runs
+    from fractions import Fraction
+
+    from .core import JoinParams
+    from .profile import ProfileParams
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     stdout: str
     stderr: str = ""
     code: int = EXIT_OK
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -124,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dN", type=int, required=True, dest="d_n")
     p.add_argument("--fano-index", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-12, help="relative root residual that fails (exit 3)")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_metric)
@@ -132,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric-from-ray", parents=[join, ray],
                        help="compose quotient data with the profile construction")
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_metric_from_ray)
@@ -151,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_join(args: argparse.Namespace) -> tuple[JoinParams, list[str]]:
+    from .core import parse_base, validate_join
+
     base = parse_base(args.base)
     join = validate_join(args.l1, args.l2, args.w1, args.w2, base)
     notes = []
@@ -160,6 +137,10 @@ def _parse_join(args: argparse.Namespace) -> tuple[JoinParams, list[str]]:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> CommandResult:
+    from .emit import emit_json
+    from .topology import (_require_projective_base, b_invariant_wcone, bouquet_label,
+                           c1_gamma_coeff_sphere_join, spin_check, torsion_order)
+
     join, notes = _parse_join(args)
     base = join.base
     record: dict = {"join": join, "notes": notes}
@@ -189,6 +170,10 @@ def _cmd_invariants(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> CommandResult:
+    from .core import ReebRay
+    from .emit import emit_json
+    from .quotient import orb_c1_report, quotient_data
+
     join, notes = _parse_join(args)
     ray = ReebRay(args.v1, args.v2)
     data = quotient_data(join, ray)
@@ -205,6 +190,9 @@ def _cmd_quotient(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_classify(args: argparse.Namespace) -> CommandResult:
+    from .classifier import classify_ray, positivity_range
+    from .core import ReebRay
+
     if args.near is not None and args.near < 0:
         raise InvalidParameterError(f"--near must be nonnegative, got {args.near}")
     join, notes = _parse_join(args)
@@ -227,10 +215,13 @@ def _cmd_classify(args: argparse.Namespace) -> CommandResult:
     }
     if args.format == "text":
         return CommandResult(stdout=f"{verdict.value}: ratio {ray.ratio}, range {rng.as_text()}\n")
+    from .emit import emit_json
     return CommandResult(stdout=emit_json(record))
 
 
 def _cmd_range(args: argparse.Namespace) -> CommandResult:
+    from .classifier import positivity_range, whole_cone_rules
+
     join, notes = _parse_join(args)
     rng = positivity_range(join)
     if args.format == "text":
@@ -238,10 +229,14 @@ def _cmd_range(args: argparse.Namespace) -> CommandResult:
     record: dict = {"range": rng, "notes": notes}
     with contextlib.suppress(BaseMismatchError):  # the rules need a projective-space base
         record["whole_cone"] = whole_cone_rules(join)
+    from .emit import emit_json
     return CommandResult(stdout=emit_json(record))
 
 
 def _cmd_bouquet(args: argparse.Namespace) -> CommandResult:
+    from .emit import emit_json
+    from .topology import _require_projective_base, bouquet_label, bouquet_level_set, bouquet_partition
+
     join_flags = [args.l1, args.l2, args.w1, args.w2]
     if args.k is not None or args.l is not None:
         if args.k is None or args.l is None or any(v is not None for v in join_flags):
@@ -266,14 +261,19 @@ def _cmd_bouquet(args: argparse.Namespace) -> CommandResult:
 
 
 def _profile_result(
-    profile: MetricProfile, out: str, extra_report: dict | None = None
+    params: ProfileParams, args: argparse.Namespace, extra_report: dict | None = None
 ) -> CommandResult:
+    from .emit import emit_csv, emit_json
+    from .profile import DEFAULT_GRID, build_profile
+
+    grid = DEFAULT_GRID if args.grid is None else args.grid
+    profile = build_profile(params, grid_size=grid, tol_rel=args.tol)
     report: dict = {"params": profile.params, "k_root": profile.k_root, "report": profile.report}
     if extra_report:
         report.update(extra_report)
     stderr = emit_json(report)
     code = EXIT_OK if profile.report.all_ok else EXIT_CERTIFICATE
-    if out == "json":
+    if args.out == "json":
         record = dict(report)
         record["samples"] = profile.samples
         return CommandResult(stdout=emit_json(record), stderr=stderr, code=code)
@@ -282,28 +282,36 @@ def _profile_result(
 
 
 def _cmd_metric(args: argparse.Namespace) -> CommandResult:
+    from .profile import ProfileParams
+
     params = ProfileParams(
         m1=args.m1, m2=args.m2, d_n=args.d_n, r=args.r, n=args.n, fano_index=args.fano_index
     )
-    profile = build_profile(params, grid_size=args.grid, tol_rel=args.tol)
-    return _profile_result(profile, args.out)
+    return _profile_result(params, args)
 
 
 def _cmd_metric_from_ray(args: argparse.Namespace) -> CommandResult:
+    from .core import ReebRay
+    from .profile import profile_params_from_ray
+
     join, notes = _parse_join(args)
     ray = ReebRay(args.v1, args.v2)
     params, data = profile_params_from_ray(join, ray, r=args.r)
-    profile = build_profile(params, grid_size=args.grid, tol_rel=args.tol)
-    extra = {"join": join, "ray": ray, "quotient": data, "notes": notes}
-    return _profile_result(profile, args.out, extra_report=extra)
+    return _profile_result(params, args, {"join": join, "ray": ray, "quotient": data, "notes": notes})
 
 
 def _cmd_h1(args: argparse.Namespace) -> CommandResult:
+    from .classifier import h1_signed
+    from .emit import emit_json
+
     value = h1_signed(args.s, args.volume, args.n_half)
     return CommandResult(stdout=emit_json({"h1_signed": value}))
 
 
 def _cmd_replay(args: argparse.Namespace) -> CommandResult:
+    from .emit import emit_json
+    from .goldens import default_checks, replay_tables
+
     outcomes = replay_tables(default_checks())
     failures = [o for o in outcomes if not o.ok]
     code = EXIT_OK if not failures else EXIT_MISMATCH
@@ -353,6 +361,10 @@ def _entry_to_argv(entry: dict, options: dict[str, dict[str, str]]) -> list[str]
 
 
 def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
+    import json
+
+    from .emit import emit_json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -399,6 +411,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         result: CommandResult = args.handler(args)
     except SasconeError as exc:
+        from .emit import emit_json
+
         sys.stderr.write(emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return exit_code_for(exc)
     if result.stdout:

@@ -109,7 +109,7 @@ class ProfileParams:
         object.__setattr__(self, "r", float(self.r))
         if not 0.0 < abs(self.r) < 1.0:
             raise InvalidParameterError(f"r must satisfy 0 < |r| < 1, got {self.r}")
-        if self.r * self.n <= 0:
+        if (self.r > 0) != (self.n > 0):  # a product would overflow a float for huge n
             raise InvalidParameterError(f"r and n must have the same sign, got r={self.r}, n={self.n}")
 
 
@@ -503,7 +503,7 @@ def build_profile(
         vertical_positive=monotone,
         ke_balance=kern.f(0.0),
         is_ke=abs(k) <= 1e-13
-        and abs(2.0 * r * fano / n - (1.0 + r) / m2 - (1.0 - r) / m1) <= 1e-12,
+        and abs(2.0 * r * (fano / n) - (1.0 + r) / m2 - (1.0 - r) / m1) <= 1e-12,
         synthetic_dimension=d_n == 0,
     )
     return MetricProfile(params=params, k_root=k, columns=columns, report=report)

@@ -249,6 +249,27 @@ def test_positivity_range_validation():
         PositivityRange(RangeKind.ENTIRE, lower=Fraction(1))
 
 
+@pytest.mark.parametrize(
+    ("kind", "lower", "upper"),
+    [
+        (RangeKind.INTERVAL, Fraction(1, 2), Fraction(1, 2)),
+        (RangeKind.INTERVAL, Fraction(3, 2), Fraction(4, 3)),
+        (RangeKind.INTERVAL, Fraction(-1, 3), Fraction(2)),
+        (RangeKind.HALF_LINE, Fraction(-1, 3), None),
+        (RangeKind.HALF_LINE, Fraction(1, 3), Fraction(2)),
+    ],
+    ids=["equal", "reversed", "negative-lower", "half-line-negative", "half-line-with-upper"],
+)
+def test_positivity_range_rejects_bad_bounds(kind, lower, upper):
+    with pytest.raises(InvalidParameterError):
+        PositivityRange(kind, lower, upper)
+
+
+def test_positivity_range_accepts_zero_lower_bound():
+    assert PositivityRange(RangeKind.INTERVAL, Fraction(0), Fraction(1, 3)).contains(Fraction(1, 4))
+    assert PositivityRange(RangeKind.HALF_LINE, Fraction(0)).contains(Fraction(1, 9))
+
+
 def test_non_fano_custom_base_empty():
     base = BaseManifold(dim_c=3, c1_coeff=0, label="c1-zero")
     assert positivity_range(_join(1, 1, 2, 1, base)).kind is RangeKind.EMPTY

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import sascone.cli as cli
+import sascone.goldens
 from sascone.errors import EXIT_CERTIFICATE, EXIT_PRECONDITION, EXIT_VALIDATION
 from sascone.goldens import GoldenCheck
 
@@ -239,6 +240,24 @@ def test_unrepresentable_profile_is_a_validation_error(args):
     assert json.loads(r.stderr)["error"]["type"] == "InvalidParameterError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("metric", "--m1", "1", "--m2", "1", "--r", "0.5", "--dN", "0", "--fano-index", "2",
+         "--n", "1" + "0" * 400, "--grid", "5"),
+        ("metric-from-ray", "--l1", "1" + "0" * 400, "--l2", "1", "--w1", "1", "--w2", "1",
+         "--v1", "3", "--v2", "2", "--grid", "5"),
+    ],
+    ids=["n", "l1"],
+)
+def test_huge_integers_exit_without_traceback(args):
+    # n lies beyond double range, so neither the sign test r*n nor is_ke's I_N/n (k* = 0 in the
+    # metric case) may convert it to a float
+    r = run_cli(*args)
+    assert r.returncode in (0, EXIT_VALIDATION, EXIT_PRECONDITION, EXIT_CERTIFICATE)
+    assert "Traceback" not in r.stderr
+
+
 def test_far_ray_certifies():
     # k* is about 450 on this far ray; dg/dt underflows at z = 1, its log does not
     r = run_cli(
@@ -303,7 +322,7 @@ def test_replay_tables_json():
 def test_replay_mismatch_exit_code(monkeypatch, capsys):
     tampered = [GoldenCheck("made-up/check", "torsion",
                             {"l1": 1, "l2": 1, "w1": 12, "w2": 1, "base": "cp2"}, 13)]
-    monkeypatch.setattr(cli, "default_checks", lambda: tampered)
+    monkeypatch.setattr(sascone.goldens, "default_checks", lambda: tampered)
     code = cli.main(["replay-tables"])
     out = capsys.readouterr().out
     assert code == 4
@@ -313,7 +332,7 @@ def test_replay_mismatch_exit_code(monkeypatch, capsys):
 def test_replay_range_mismatch_reports_plain_values(monkeypatch, capsys):
     args = {"l1": 4, "l2": 1, "w1": 1, "w2": 1, "base": "custom:1:3"}
     expected = {"kind": "interval", "lower": "1/2", "upper": "2"}
-    monkeypatch.setattr(cli, "default_checks", lambda: [GoldenCheck("bad/range", "range", args, expected)])
+    monkeypatch.setattr(sascone.goldens, "default_checks", lambda: [GoldenCheck("bad/range", "range", args, expected)])
     assert cli.main(["replay-tables"]) == 4
     got = "{'kind': 'interval', 'lower': '1/4', 'upper': '4'}"
     assert f"FAIL bad/range expected={expected!r} got={got}\n" in capsys.readouterr().out

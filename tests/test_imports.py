@@ -1,0 +1,76 @@
+"""Import hygiene: each entry point loads only the sascone modules it uses.
+
+Every check runs in a fresh interpreter, so modules loaded by other tests
+cannot hide an eager import.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sascone
+
+SRC = str(Path(sascone.__file__).resolve().parent.parent)
+JOIN = ["--l1", "4", "--l2", "1", "--w1", "1", "--w2", "1"]
+RAY = ["--v1", "3", "--v2", "2"]
+
+# runs main(argv) with its output discarded, then prints the exit code and the sascone modules loaded
+CLI_PROBE = """
+import contextlib, io, json, sys
+from sascone.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sascone."))]))
+"""
+
+
+def _run(*args: str) -> list:
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return json.loads(out.stdout)
+
+
+def _cli_modules(argv: list[str]) -> set[str]:
+    code, modules = _run("-c", CLI_PROBE, json.dumps(argv))
+    assert code == 0
+    return set(modules)
+
+
+def test_import_sascone_loads_no_submodule():
+    probe = "import json, sys, sascone; print(json.dumps([m for m in sys.modules if m.startswith('sascone.')]))"
+    assert _run("-c", probe) == []
+
+
+EXACT_COMMANDS = {
+    "range": ["range", *JOIN, "--format", "text"],
+    "classify": ["classify", *JOIN, *RAY],
+    "quotient": ["quotient", *JOIN, *RAY],
+    "invariants": ["invariants", *JOIN],
+    "bouquet": ["bouquet", "--l1", "1", "--l2", "3", "--w1", "7", "--w2", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS.values(), ids=EXACT_COMMANDS.keys())
+def test_exact_commands_load_neither_profile_nor_goldens(argv):
+    assert not _cli_modules(argv) & {"sascone.profile", "sascone.goldens"}
+
+
+def test_config_batch_of_exact_commands_loads_neither_profile_nor_goldens(tmp_path):
+    entries = []
+    for argv in EXACT_COMMANDS.values():
+        flags = iter(argv[1:])
+        entries.append({"command": argv[0], **{flag[2:]: value for flag, value in zip(flags, flags)}})
+    config = tmp_path / "batch.json"
+    config.write_text(json.dumps({"commands": entries}))
+    assert not _cli_modules(["--config", str(config)]) & {"sascone.profile", "sascone.goldens"}
+
+
+def test_replay_tables_does_not_load_profile():
+    assert "sascone.profile" not in _cli_modules(["replay-tables"])

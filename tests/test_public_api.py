@@ -13,7 +13,7 @@ def test_every_exported_name_resolves():
 
 def test_all_lists_exactly_the_imported_public_names():
     imported = {
-        name for name, value in vars(sascone).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(sascone)
+        if not name.startswith("_") and not isinstance(getattr(sascone, name), types.ModuleType)
     }
     assert imported == set(sascone.__all__)
