@@ -9,10 +9,10 @@ strings. Sets are emitted as sorted lists. No locale is consulted.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii  # json.dumps(s, ensure_ascii=True) for a str s
 from typing import Any, Iterable, Sequence
 
 _INT64_MIN = -(2**63)
@@ -61,7 +61,7 @@ def _write(value: Any, out: list[str], indent: int) -> None:
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=True))
+        out.append(encode_basestring_ascii(value))
     elif isinstance(value, list):
         if not value:
             out.append("[]")
@@ -79,7 +79,7 @@ def _write(value: Any, out: list[str], indent: int) -> None:
         out.append("{\n")
         keys = sorted(value)
         for i, key in enumerate(keys):
-            out.append(pad + "  " + json.dumps(str(key), ensure_ascii=True) + ": ")
+            out.append(pad + "  " + encode_basestring_ascii(str(key)) + ": ")
             _write(value[key], out, indent + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
@@ -96,7 +96,15 @@ def emit_json(record: Any) -> str:
 
 
 def emit_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    """Deterministic CSV of float rows: '.' decimal separator, LF line endings."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(format_float, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    """Deterministic CSV of float rows: '.' decimal separator, LF line endings.
+
+    Cells read as `format_float` prints them, and a non-finite one raises its
+    ValueError. A row whose width differs from the header's raises TypeError.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    body = "".join([line % tuple(row) for row in rows])
+    if "n" in body:  # a finite %.17g cell has no "n"; "inf", "-inf" and "nan" do
+        row = body[: body.index("\n", body.index("n"))].rpartition("\n")[2]
+        cell = next(text for text in row.split(",") if "n" in text)  # the float's repr
+        raise ValueError(f"cannot emit non-finite float {cell}")
+    return ",".join(header) + "\n" + body

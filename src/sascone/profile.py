@@ -58,18 +58,21 @@ _CONDITION_BOUND * (a+b) * int(p), the scale of F, and the series runs
 otherwise. The root solver evaluates f(k) = F(1; k) through the same
 form and bisects until its bracket holds no double between the ends;
 the tolerance is only a failure threshold. After the root k* is found,
-Q and R are built once and each grid point costs one exponential (two
-in the series form) and Horner sums of Q and R; g and dg/dt are affine
-in them. The certificate scans the grid as columns, which `MetricProfile`
-stores; its `samples` are rows built on every read. Everything is pure
-and reentrant. Exact quadrature of these closed forms is cross-checked
-against adaptive numerical quadrature in the test suite only.
+Q and R are built once, and sampling makes one pass over the grid per
+column and per two Horner steps, at one exponential a point (two in the
+series form); g and dg/dt are affine in it. dg/dt is not stored: the
+report's max_g_dt is its exact value at the smallest exponential. The
+certificate scans the columns that `MetricProfile` stores; its `samples`
+are rows built on every read. Everything is pure and reentrant. Exact
+quadrature of these closed forms is cross-checked against adaptive
+numerical quadrature in the test suite only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import NamedTuple, Sequence
 
 from .core import JoinParams, ReebRay, _require_int
@@ -184,7 +187,7 @@ class MetricProfile:
     @property
     def samples(self) -> tuple[ProfileSample, ...]:
         """The rows of `columns`, built on every read with no cache: bind once in a loop."""
-        return tuple(map(ProfileSample._make, zip(*self.columns)))
+        return tuple(map(tuple.__new__, repeat(ProfileSample), zip(*self.columns)))
 
 
 def weight_poly(z: float, r: float, d_n: int) -> float:
@@ -229,10 +232,14 @@ def _horner(coeffs: Sequence[float], z: float) -> float:
 
 
 def _horner_grid(coeffs: Sequence[float], zs: list[float]) -> list[float]:
-    """`_horner` at every point of `zs`, one pass over the grid per coefficient."""
-    acc = [coeffs[-1]] * len(zs)
-    for c in reversed(coeffs[:-1]):
-        acc = [x * z + c for x, z in zip(acc, zs)]
+    """`_horner` at each point of `zs`, two of its steps, (x*z + hi)*z + lo, per pass."""
+    desc = iter(coeffs[::-1])
+    acc = [next(desc)] * len(zs)
+    if len(coeffs) % 2 == 0:
+        hi = next(desc)
+        acc = [x * z + hi for x, z in zip(acc, zs)]
+    for hi, lo in zip(desc, desc):
+        acc = [(x * z + hi) * z + lo for x, z in zip(acc, zs)]
     return acc
 
 
@@ -331,30 +338,30 @@ class _Root:
             fz += math.exp(-self.k * z - abs(self.k)) * _horner(self.q, z)
         return fz
 
-    def sample(self, grid_size: int, params: ProfileParams) -> tuple[tuple[tuple[float, ...], ...], list[float]]:
-        """The `ProfileSample` columns on the uniform grid of [-1, 1], and dg/dt.
+    def sample(self, grid_size: int, params: ProfileParams) -> tuple[tuple[tuple[float, ...], ...], float]:
+        """The `ProfileSample` columns on the uniform grid of [-1, 1], and max dg/dt.
 
-        Each point costs the exponent x = -k*z - |k|, u = exp(x) and Horner
-        sums of Q and R. As in `g_func` and `g_dt`, g and dg/dt are affine
-        in w = u - 1 and u:
+        Each point costs u = exp(-k*z - |k|) and Horner sums of Q and R. As in
+        `g_func` and `g_dt`, g and dg/dt are affine in w = u - 1 and u:
 
             g(z)     = g(e) + g_w * (w(z) - w(e))    e = -1 or 1, nearer to z
-            dg/dt(z) = -(a+b) * k * lead * u(z)
+            dg/dt(z) = dg_u * u(z)                   dg_u = -(a+b) * k * lead
 
         with g(-1) = 2/m2, g(1) = -2/m1 (kept exact) and g_w = (a+b) * lead.
         w enters only through differences, so the closed form, which runs
-        only where lead is moderate, uses u; the series uses expm1(x) for
-        the digits of small |k|; k = 0 takes the limit w = z, g_w = -(a+b).
+        only where lead is moderate, uses u; the series uses expm1 for the
+        digits of small |k|; k = 0 takes the limit w = z, g_w = -(a+b). Each
+        column is one pass; z < 0 (e = -1) on the first grid_size // 2 points.
+        As dg_u < 0 and rounding is monotone, max dg/dt is dg_u * min(u).
         """
         k = self.k
         a, b = 1.0 / params.m1, 1.0 / params.m2
         ab = a + b
         last = grid_size - 1
         zs = [i / last - 1.0 for i in range(0, 2 * last + 1, 2)]
-        nk, ak = -k, abs(k)
-        xs = [nk * z - ak for z in zs]
-        us = list(map(math.exp, xs))
-        ws = (us if self.q else list(map(math.expm1, xs))) if k else zs
+        nk, ak, exp = -k, abs(k), math.exp
+        us = [exp(nk * z - ak) for z in zs]
+        ws = (us if self.q else [math.expm1(nk * z - ak) for z in zs]) if k else zs
         g_w = ab * _lead(k) if k else -ab
         w_lo, w_hi = ws[0], ws[-1]
         fs = _horner_grid(self.r, zs)
@@ -364,15 +371,15 @@ class _Root:
         g_lo, g_hi = 2.0 * b, -2.0 * a
         h0 = params.fano_index / params.n
         dg_u = -ab * _k_lead(k)
-        dgs = [dg_u * u for u in us]
+        half = grid_size // 2
         return tuple(map(tuple, (
             zs,
             fs,
             [f / (1.0 + r * z) ** d_n for z, f in zip(zs, fs)],
-            [h0 - 0.5 * (g_lo + g_w * (w - w_lo) if z < 0.0 else g_hi + g_w * (w - w_hi))
-             for z, w in zip(zs, ws)],
-            [-0.5 * dg for dg in dgs],
-        ))), dgs
+            [h0 - 0.5 * (g_lo + g_w * (w - w_lo)) for w in ws[:half]]
+            + [h0 - 0.5 * (g_hi + g_w * (w - w_hi)) for w in ws[half:]],
+            [-0.5 * (dg_u * u) for u in us],
+        ))), dg_u * min(us)
 
 
 def _kernel(params: ProfileParams) -> _Kernel:
@@ -460,7 +467,7 @@ def build_profile(
             raise ZeroDivisionError  # Theta = F/p divides by this p = 0 for every k
         diag = _solve_k(kern, tol)
         root = _Root(kern, diag.k)
-        columns, dgs = root.sample(grid_size, params)
+        columns, max_g_dt = root.sample(grid_size, params)
         _, fs, thetas, ricci_h, _ = columns
         representable = all(map(math.isfinite, thetas))
     except (OverflowError, ZeroDivisionError):  # a binomial coefficient of p, or p itself
@@ -468,7 +475,7 @@ def build_profile(
     if not representable:
         raise InvalidParameterError(f"d_n = {d_n}, r = {r}: p or Theta = F/p leaves the double range")
     k = diag.k
-    interior_min = min(fs[1:-1])
+    interior_min = min(islice(fs, 1, grid_size - 1))
     # dg/dt = -(a+b) * k*lead * exp(-k*z - |k|) is negative wherever its
     # log is finite, even where the product underflows; the exponent is
     # affine in z, so its extremes are at the endpoints.
@@ -494,7 +501,7 @@ def build_profile(
         fprime_hi_residual=abs(g_func(1.0, k, m1, m2) + 2.0 / m1) * p_hi,
         interior_min_f=interior_min,
         interior_positive=interior_min > 0.0,
-        max_g_dt=max(dgs),
+        max_g_dt=max_g_dt,
         g_monotone=monotone,
         box_ok=box_ok,
         box_first=fano * m2 - n,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 from math import gcd
 from pathlib import Path
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import sascone
 from sascone import BaseManifold, JoinParams, ReebRay
+
+SRC = str(Path(sascone.__file__).resolve().parent.parent)
 
 CP1 = BaseManifold.projective_space(1)
 CP2 = BaseManifold.projective_space(2)
@@ -20,6 +24,12 @@ INDEX1 = BaseManifold(dim_c=2, c1_coeff=1, label="index-1")
 
 BASES = (CP1, CP2, CP3, GENUS2, INDEX1)
 FANO_BASES = (CP1, CP2, CP3, INDEX1)
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter: this one's, with SRC first on PYTHONPATH."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture

@@ -10,11 +10,12 @@ import sascone.cli as cli
 import sascone.goldens
 from sascone.errors import EXIT_CERTIFICATE, EXIT_PRECONDITION, EXIT_VALIDATION
 from sascone.goldens import GoldenCheck
+from conftest import child_env
 
 
 def run_cli(*args: str):
     return subprocess.run(
-        [sys.executable, "-m", "sascone", *args], capture_output=True, text=True
+        [sys.executable, "-m", "sascone", *args], capture_output=True, text=True, env=child_env()
     )
 
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sascone import (
     ProfileParams,
@@ -100,6 +104,64 @@ def test_csv_formatting():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             emit_csv(("a", "b"), [(1.0, 2.0), (0.5, bad)])
+
+
+def _csv_per_cell(header, rows):
+    """`emit_csv` written cell by cell with `format_float`."""
+    return "\n".join([",".join(header)] + [",".join(map(format_float, row)) for row in rows]) + "\n"
+
+
+EXTREME = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+           -1.7976931348623157e308, 0.1, 1e16, -123456789.125)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("height", [0, 1, 7, 201])
+def test_csv_equals_per_cell_format(width, height):
+    rng = random.Random(width * 1000 + height)
+    pool = EXTREME + tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 307) for _ in range(50))
+    header = tuple(f"c{j}" for j in range(width))
+    rows = [tuple(rng.choice(pool) for _ in range(width)) for _ in range(height)]
+    assert emit_csv(header, rows) == _csv_per_cell(header, rows)
+    assert emit_csv(header, iter(rows)) == _csv_per_cell(header, rows)
+    if height == 0:
+        assert emit_csv(header, rows) == ",".join(header) + "\n"
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)), max_size=20))
+def test_csv_equals_per_cell_format_on_any_finite_floats(rows):
+    assert emit_csv(("a", "b"), rows) == _csv_per_cell(("a", "b"), rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row, col", [(0, 0), (2, 2), (4, 1), (4, 2)])
+def test_csv_names_the_first_non_finite_cell(bad, row, col):
+    rows = [[1.0, -2.5, 1e300] for _ in range(5)]
+    rows[row][col] = bad
+    if row < 4:
+        rows[4][0] = -bad  # a later bad cell is not the one named
+    with pytest.raises(ValueError) as raised:
+        emit_csv(("a", "b", "c"), rows)
+    assert str(raised.value) == f"cannot emit non-finite float {bad!r}"
+
+
+@pytest.mark.parametrize("row", [(1.0,), (1.0, 2.0, 3.0), ()])
+def test_csv_rejects_a_row_of_another_width(row):
+    with pytest.raises(TypeError):
+        emit_csv(("a", "b"), [(0.5, 0.25), row])
+
+
+@given(st.text())
+@example('say "hi"').via("quotes")
+@example("back\\slash").via("backslash")
+@example("tab\tnew\nline\r\x00\x1f\x7f").via("control characters")
+@example("caf\u00e9 \u2207 \U0001d4ae").via("non-ASCII text")
+@example("").via("empty")
+def test_json_strings_match_json_dumps(text):
+    quoted = json.dumps(text, ensure_ascii=True)
+    assert emit_json(text) == quoted + "\n"
+    assert emit_json({text: text}) == "{\n  " + quoted + ": " + quoted + "\n}\n"
 
 
 def test_emit_json_repeatable_bytes():

@@ -7,16 +7,13 @@ cannot hide an eager import.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import sascone
+from conftest import child_env
 
-SRC = str(Path(sascone.__file__).resolve().parent.parent)
 JOIN = ["--l1", "4", "--l2", "1", "--w1", "1", "--w2", "1"]
 RAY = ["--v1", "3", "--v2", "2"]
 
@@ -31,9 +28,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sascone."
 
 
 def _run(*args: str) -> list:
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": path})
+                         env=child_env())
     return json.loads(out.stdout)
 
 

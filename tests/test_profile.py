@@ -240,10 +240,10 @@ class TestSampler:
         root = _Root(_kernel(params), k)
         assert root.kind == self.KINDS[abs(k)]
         grid = 101
-        columns, dgs = root.sample(grid, params)
+        columns, max_g_dt = root.sample(grid, params)
         samples = list(map(ProfileSample._make, zip(*columns)))
         assert [s.z for s in samples] == [(2.0 * i) / (grid - 1) - 1.0 for i in range(grid)]
-        for s, dg in zip(samples, dgs):
+        for s in samples:
             f = profile_F(s.z, k, params)
             assert self._close(s.f, f, scale)
             assert self._close(s.theta, f / weight_poly(s.z, r, d_n), scale)
@@ -251,10 +251,20 @@ class TestSampler:
             # ricci_v carries the certificate's sign, so it is compared
             # relatively, with no absolute floor
             assert self._close(s.ricci_v, -0.5 * g_dt(s.z, k, m1, m2), 0.0)
-            assert dg == -2.0 * s.ricci_v
+        assert max_g_dt == max(g_dt(s.z, k, m1, m2) for s in samples)
         for i in (0, 1, grid // 4, grid // 2, 3 * grid // 4, grid - 2, grid - 1):
             z = samples[i].z
             assert self._close(samples[i].f, quad_profile_F(z, k, m1, m2, r, d_n), scale)
+
+    @pytest.mark.parametrize("d_n", range(9))  # both forms run at every d_n
+    @pytest.mark.parametrize("k", [sign * k for k in KINDS for sign in (1.0, -1.0)])
+    def test_sampled_f_is_big_f_bit_for_bit(self, d_n, k):
+        params = ProfileParams(m1=3, m2=2, d_n=d_n, r=-0.6, n=-4, fano_index=2)
+        root = _Root(_kernel(params), k)
+        for grid in (3, 4, 101):
+            (zs, fs, *_), max_g_dt = root.sample(grid, params)
+            assert [f.hex() for f in fs] == [root.big_f(z).hex() for z in zs]
+            assert max_g_dt == max(g_dt(z, k, params.m1, params.m2) for z in zs)
 
     def test_far_root_profile(self):
         params = ProfileParams(m1=600, m2=1, d_n=0, r=0.5, n=1, fano_index=1)
