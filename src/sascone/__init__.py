@@ -11,7 +11,8 @@ precision. Every public type is an immutable value.
 `import sascone` loads no submodule. Each public name resolves on first
 use: the module `__getattr__` imports the submodule that defines it, then
 caches the value here, so later lookups are plain attribute reads.
-`__all__` lists the same names, and `from sascone import *` binds them all.
+`__all__` is the sorted list of those names, and `from sascone import *`
+binds them all.
 """
 
 import importlib as _importlib
@@ -56,61 +57,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseManifold",
-    "BaseMismatchError",
-    "BouquetLabel",
-    "BracketFailureError",
-    "CheckOutcome",
-    "GoldenCheck",
-    "InvalidParameterError",
-    "JoinParams",
-    "MetricProfile",
-    "NonpositiveVolumeError",
-    "NotCoprimeError",
-    "NotFanoError",
-    "OddTotalError",
-    "OrbChernReport",
-    "PositivityRange",
-    "PreconditionError",
-    "ProductCaseError",
-    "ProfileParams",
-    "ProfileSample",
-    "QuotientData",
-    "RangeKind",
-    "ReebRay",
-    "SasconeError",
-    "SmoothnessViolationError",
-    "TypeVerdict",
-    "ValidationError",
-    "VerificationReport",
-    "WholeConeReport",
-    "b_invariant_wcone",
-    "bouquet_label",
-    "bouquet_level_set",
-    "bouquet_partition",
-    "build_profile",
-    "c1_gamma_coeff_sphere_join",
-    "classify_ray",
-    "default_checks",
-    "f_of_k",
-    "g_dt",
-    "g_func",
-    "h1_signed",
-    "orb_c1_report",
-    "orb_fano_predicate",
-    "parse_base",
-    "positivity_range",
-    "positivity_range_raw",
-    "profile_F",
-    "profile_params_from_ray",
-    "quotient_data",
-    "replay_tables",
-    "ricci_box_holds",
-    "solve_k",
-    "spin_check",
-    "torsion_order",
-    "validate_join",
-    "weight_poly",
-    "whole_cone_rules",
-]
+__all__ = sorted(_HOMES)

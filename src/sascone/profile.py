@@ -27,9 +27,13 @@ form has coefficients
     ricci_h(z) = I_N/n - g(z, k*)/2        (horizontal)
     ricci_v(z) = -(1/2) * dg/dt (z, k*)    (vertical, always positive)
 
-and the metric has positive Ricci curvature iff the two integer box
-conditions (I_N/n - 1/m2)*n > 0 and (I_N/n + 1/m1)*n > 0 hold; the third
-condition, that F'/p has negative derivative, holds by construction.
+and the metric has positive Ricci curvature iff ricci_h * n > 0 on
+[-1, 1]; the third condition, that F'/p has negative derivative, holds
+by construction. As g falls strictly from 2/m2 to -2/m1, ricci_h * n is
+monotone between I_N - n/m2 and I_N + n/m1, so it is positive exactly on
+the integer box I_N*m2 > n, I_N*m1 > -n (`ricci_box_holds`). The report's
+horizontal_positive is that verdict; the ricci_h column is written out
+but not scanned.
 
 Numerics. All integrals have closed forms in a = 1/m1, b = 1/m2, the
 moment M_0(z) of p from -1 to z, and E(z), the integral of
@@ -62,10 +66,10 @@ Q and R are built once, and sampling makes one pass over the grid per
 column and per two Horner steps, at one exponential a point (two in the
 series form); g and dg/dt are affine in it. dg/dt is not stored: the
 report's max_g_dt is its exact value at the smallest exponential. The
-certificate scans the columns that `MetricProfile` stores; its `samples`
-are rows built on every read. Everything is pure and reentrant. Exact
-quadrature of these closed forms is cross-checked against adaptive
-numerical quadrature in the test suite only.
+certificate scans the F and Theta columns that `MetricProfile` stores;
+its `samples` are rows built on every read. Everything is pure and
+reentrant. Exact quadrature of these closed forms is cross-checked
+against adaptive numerical quadrature in the test suite only.
 """
 
 from __future__ import annotations
@@ -103,8 +107,11 @@ class ProfileParams:
     fano_index: int
 
     def __post_init__(self) -> None:
-        _require_int(self.m1, "m1")
-        _require_int(self.m2, "m2")
+        for name in ("m1", "m2"):
+            try:  # the kernel takes 1/m1 and 1/m2 in double precision
+                float(_require_int(getattr(self, name), name))
+            except OverflowError:
+                raise InvalidParameterError(f"{name} lies beyond the double range that 1/{name} needs") from None
         _require_int(self.fano_index, "fano_index")
         _require_int(self.d_n, "d_n", 0)
         if _require_int(self.n, "n", None) == 0:
@@ -139,8 +146,9 @@ class VerificationReport:
     """Numerical certificate attached to a built profile.
 
     `kernel` names the form of F that ran at the root: "series" or
-    "closed". `endpoints_ok` and `all_ok` are derived from the other
-    fields on construction.
+    "closed". `horizontal_positive` is `box_ok`: ricci_h * n is monotone
+    in z with endpoint values box_first/m2 and box_second/m1. `endpoints_ok`
+    and `all_ok` are derived from the other fields on construction.
     """
 
     grid_size: int
@@ -468,7 +476,7 @@ def build_profile(
         diag = _solve_k(kern, tol)
         root = _Root(kern, diag.k)
         columns, max_g_dt = root.sample(grid_size, params)
-        _, fs, thetas, ricci_h, _ = columns
+        _, fs, thetas, _, _ = columns
         representable = all(map(math.isfinite, thetas))
     except (OverflowError, ZeroDivisionError):  # a binomial coefficient of p, or p itself
         representable = False
@@ -482,12 +490,6 @@ def build_profile(
     log_dg = math.log((1.0 / m1 + 1.0 / m2) * _k_lead(k))
     monotone = all(math.isfinite(log_dg - k * z - abs(k)) for z in (-1.0, 1.0))
 
-    # h * n > 0 at every point: the column's extreme on the side of n decides.
-    # min and max can skip a NaN, but it makes the sum NaN; so does +inf
-    # beside -inf, a column of mixed sign anyway.
-    horizontal_positive = not math.isnan(sum(ricci_h)) and (
-        min(ricci_h) > 0.0 if n > 0 else max(ricci_h) < 0.0
-    )
     p_lo = weight_poly(-1.0, r, d_n)
     p_hi = weight_poly(1.0, r, d_n)
     box_ok = ricci_box_holds(fano, n, m1, m2)
@@ -506,7 +508,7 @@ def build_profile(
         box_ok=box_ok,
         box_first=fano * m2 - n,
         box_second=fano * m1 + n,
-        horizontal_positive=horizontal_positive,
+        horizontal_positive=box_ok,
         vertical_positive=monotone,
         ke_balance=kern.f(0.0),
         is_ke=abs(k) <= 1e-13

@@ -232,6 +232,8 @@ def test_high_dimensional_bases_certify(join, ray, dim, capsys):
         ("metric", "--m1", "3", "--m2", "2", "--r", "0.9", "--dN", "1100", "--n", "4", "--fano-index", "2"),
         ("metric-from-ray", "--l1", "1", "--l2", "1", "--w1", "7", "--w2", "1",
          "--v1", "100", "--v2", "1", "--base", "cp1100"),
+        ("metric-from-ray", "--l1", "1", "--l2", "1", "--w1", "3", "--w2", "1",
+         "--v1", "1", "--v2", "1" + "0" * 400),  # m2 = 10**400 has no double
     ],
 )
 def test_unrepresentable_profile_is_a_validation_error(args):

@@ -44,6 +44,13 @@ def test_import_sascone_loads_no_submodule():
     assert _run("-c", probe) == []
 
 
+def test_star_import_binds_exactly_all():
+    probe = ("import json, sascone; ns = {}; exec('from sascone import *', ns); "
+             "print(json.dumps([sorted(set(ns) - {'__builtins__'}), sascone.__all__]))")
+    bound, names = _run("-c", probe)
+    assert bound == sorted(names) == names
+
+
 EXACT_COMMANDS = {
     "range": ["range", *JOIN, "--format", "text"],
     "classify": ["classify", *JOIN, *RAY],

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -326,41 +327,6 @@ class TestColumns:
         profile = build_profile(params, grid_size=21)
         assert profile.report.horizontal_positive == all(s.ricci_h * n > 0.0 for s in profile.samples)
 
-    @staticmethod
-    def _inject_ricci_h(monkeypatch, column):
-        sample = _Root.sample
-
-        def inject(root, grid_size, params):
-            (zs, fs, thetas, _, ricci_v), dgs = sample(root, grid_size, params)
-            return (zs, fs, thetas, tuple(column), ricci_v), dgs
-
-        monkeypatch.setattr(_Root, "sample", inject)
-
-    @pytest.mark.parametrize("params", [SYM, ASYM])  # n = 1 and n = -4
-    def test_nan_inside_horizontal_column_fails(self, params, monkeypatch):
-        side = math.copysign(1.0, params.n)
-        self._inject_ricci_h(monkeypatch, (side, 2 * side, math.nan, 3 * side, side))
-        assert not build_profile(params, grid_size=5).report.horizontal_positive
-
-    @pytest.mark.parametrize("params", [SYM, ASYM])
-    @pytest.mark.parametrize(
-        "column",
-        [
-            (math.nan, math.inf, -math.inf, -math.inf, math.nan),  # sampled at k = 5e-324
-            (math.inf, 1.0, 5e-324, 2.0, math.inf),
-            (-math.inf, -1.0, -5e-324, -2.0, -math.inf),
-            (1.0, 0.0, 2.0, 3.0, 4.0),
-            (-1.0, -0.0, -2.0, -3.0, -4.0),
-            (math.inf, 1.0, 1.0, 1.0, -math.inf),
-            (1e308, 1e308, 1e308, -math.inf, 1.0),  # the sum is +inf before it meets -inf
-            (-1e308, -1e308, -1e308, -1e308, -1.0),  # the sum overflows to -inf
-        ],
-    )
-    def test_horizontal_verdict_matches_rowwise_form_on_extreme_columns(self, params, column, monkeypatch):
-        self._inject_ricci_h(monkeypatch, column)
-        report = build_profile(params, grid_size=5).report
-        assert report.horizontal_positive == all(h * params.n > 0.0 for h in column)
-
     # at d_n = 1026, r = 0.999 the solve itself would fail: f is not finite on [-1, 1]
     @pytest.mark.parametrize("d_n, r, n", [(600, 0.9, 4), (600, -0.9, -4), (1026, 0.999, 4)])
     def test_underflowing_weight_is_rejected_before_the_solve(self, d_n, r, n, monkeypatch):
@@ -432,6 +398,16 @@ class TestProfileParamsValidation:
         with pytest.raises(InvalidParameterError):
             ProfileParams(1, 1, d_n, 0.5, n, 1)
 
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_ramification_index_beyond_double_range_is_named(self, name):
+        args = {"m1": 1, "m2": 1, "d_n": 1, "r": 0.5, "n": 1, "fano_index": 2}
+        with pytest.raises(InvalidParameterError, match=f"^{name} lies beyond the double range"):
+            ProfileParams(**{**args, name: 10**400})
+        # float(m) overflows from 2**1024 - 2**970 on; the largest double itself is accepted
+        with pytest.raises(InvalidParameterError, match=f"^{name} "):
+            ProfileParams(**{**args, name: 2**1024 - 2**970})
+        assert getattr(ProfileParams(**{**args, name: 2**1024 - 2**971}), name) == sys.float_info.max
+
     @pytest.mark.parametrize("grid_size", [2, True, 3.0, None])
     def test_grid_size_is_an_int_of_at_least_three(self, grid_size):
         with pytest.raises(InvalidParameterError):
@@ -482,6 +458,14 @@ class TestRicciCoefficients:
         report = build_profile(ASYM, grid_size=5).report
         assert report.box_ok and report.all_ok
         assert not dataclasses.replace(report, **{flag: False}).all_ok
+
+    @pytest.mark.parametrize("e", [53, 60, 1000])
+    def test_horizontal_verdict_is_the_box_where_the_column_rounds_to_zero(self, e):
+        # on the ray (2**e + 1, 2**e), I_N/n - 1/m2 is positive but rounds to 0.0 at z = -1
+        params, _ = profile_params_from_ray(validate_join(1, 1, 3, 1, CP1), ReebRay(2**e + 1, 2**e))
+        profile = build_profile(params)
+        assert profile.columns[3][0] == 0.0
+        assert profile.report.box_ok and profile.report.horizontal_positive and profile.report.all_ok
 
 
 class TestLift:
