@@ -327,6 +327,34 @@ class TestColumns:
         profile = build_profile(params, grid_size=21)
         assert profile.report.horizontal_positive == all(s.ricci_h * n > 0.0 for s in profile.samples)
 
+    @pytest.mark.parametrize("params", [SYM, ASYM])  # box fails (I_N*m2 = n = 1) and holds (n = -4)
+    @pytest.mark.parametrize(
+        "column",
+        [
+            (1.0, 2.0, math.nan, 3.0, 1.0),
+            (math.nan, math.inf, -math.inf, -math.inf, math.nan),  # sampled at k = 5e-324
+            (math.inf, 1.0, 5e-324, 2.0, math.inf),
+            (-math.inf, -1.0, -5e-324, -2.0, -math.inf),
+            (1.0, 0.0, 2.0, 3.0, 4.0),
+            (-1.0, -0.0, -2.0, -3.0, -4.0),
+            (math.inf, 1.0, 1.0, 1.0, -math.inf),
+            (1e308, 1e308, 1e308, -math.inf, 1.0),
+            (-1e308, -1e308, -1e308, -1e308, -1.0),
+        ],
+    )
+    def test_horizontal_verdict_ignores_the_sampled_column(self, params, column, monkeypatch):
+        sample = _Root.sample
+
+        def inject(root, grid_size, params):
+            (zs, fs, thetas, _, ricci_v), dgs = sample(root, grid_size, params)
+            return (zs, fs, thetas, tuple(column), ricci_v), dgs
+
+        monkeypatch.setattr(_Root, "sample", inject)
+        profile = build_profile(params, grid_size=5)
+        box = ricci_box_holds(params.fano_index, params.n, params.m1, params.m2)
+        assert profile.report.horizontal_positive == profile.report.box_ok == box
+        assert profile.columns[3] == column  # written out as sampled, NaN included
+
     # at d_n = 1026, r = 0.999 the solve itself would fail: f is not finite on [-1, 1]
     @pytest.mark.parametrize("d_n, r, n", [(600, 0.9, 4), (600, -0.9, -4), (1026, 0.999, 4)])
     def test_underflowing_weight_is_rejected_before_the_solve(self, d_n, r, n, monkeypatch):
