@@ -29,10 +29,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
-from .core import JoinParams, ReebRay, _require_int
+from .core import JoinParams, ReebRay, _require_int, _Validated
 from .errors import InvalidParameterError, NonpositiveVolumeError
 from .topology import c1_gamma_coeff_sphere_join
 
@@ -49,24 +50,24 @@ class TypeVerdict(str, enum.Enum):
     INDEFINITE = "indefinite"
 
 
-@dataclass(frozen=True, slots=True)
-class PositivityRange:
+class PositivityRange(_Validated, namedtuple("PositivityRange", "kind lower upper", defaults=(None, None))):
     """Positive subset of the w-cone in the open ratio coordinate v1/v2."""
 
-    kind: RangeKind
-    lower: Fraction | None = None
-    upper: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lo, hi = self.lower, self.upper  # decided on integers: Fraction denominators are positive
-        if self.kind is RangeKind.INTERVAL:
+    def __new__(
+        cls, kind: RangeKind, lower: Fraction | None = None, upper: Fraction | None = None
+    ) -> PositivityRange:
+        lo, hi = lower, upper  # decided on integers: Fraction denominators are positive
+        if kind is RangeKind.INTERVAL:
             if lo is None or hi is None or not 0 <= lo.numerator * hi.denominator < hi.numerator * lo.denominator:
                 raise InvalidParameterError(f"bad interval bounds ({lo}, {hi})")
-        elif self.kind is RangeKind.HALF_LINE:
+        elif kind is RangeKind.HALF_LINE:
             if lo is None or lo.numerator < 0 or hi is not None:
                 raise InvalidParameterError(f"bad half-line bound {lo}")
         elif lo is not None or hi is not None:
-            raise InvalidParameterError(f"{self.kind.value} range carries no bounds")
+            raise InvalidParameterError(f"{kind.value} range carries no bounds")
+        return tuple.__new__(cls, (kind, lower, upper))
 
     def contains(self, ratio: Fraction) -> bool:
         """Strict membership of a positive ratio."""
@@ -149,8 +150,7 @@ def classify_ray(join: JoinParams, ray: ReebRay) -> TypeVerdict:
     return TypeVerdict.INDEFINITE
 
 
-@dataclass(frozen=True, slots=True)
-class WholeConeReport:
+class WholeConeReport(NamedTuple):
     """Whole-cone conclusions from the contact bundle's c1 coefficient.
 
     A zero coefficient forces an entirely positive cone, and so does a

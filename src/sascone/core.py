@@ -1,8 +1,15 @@
 """Exact integer and rational domain types shared by every module.
 
-All values are immutable and safe to share between threads. Rational
-arithmetic is `fractions.Fraction`, which keeps numerator/denominator in
-canonical form (gcd 1, positive denominator) by construction.
+All values are immutable and safe to share between threads. The
+exact-layer records here and in `classifier`, `quotient` and `topology`
+are named tuples. Those that check their fields do it in `__new__`, and
+`_make`, hence `_replace`, calls it, as do pickling and copying. As
+tuples they compare equal to plain tuples of their fields, iterate and
+order. Profile and golden records stay frozen dataclasses:
+`VerificationReport` derives fields on construction, which `_replace`
+would not recompute. Rational arithmetic is `fractions.Fraction`, which
+keeps numerator/denominator in canonical form (gcd 1, positive
+denominator) by construction.
 
 Conventions baked into the types:
 
@@ -18,9 +25,10 @@ Conventions baked into the types:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
 from .errors import (
     InvalidParameterError,
@@ -42,8 +50,17 @@ def _require_int(value: object, name: str, low: int | None = 1) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class BaseManifold:
+class _Validated:
+    """Mixin for a validating named tuple: `_make`, hence `_replace`, runs `__new__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
+class BaseManifold(_Validated, namedtuple("BaseManifold", "dim_c c1_coeff label", defaults=("",))):
     """Invariants of the regular quotient N of the first join factor.
 
     Only two numbers of N enter any formula here: its complex dimension
@@ -52,13 +69,12 @@ class BaseManifold:
     label is carried along for reporting.
     """
 
-    dim_c: int
-    c1_coeff: int
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_int(self.dim_c, "dim_c")
-        _require_int(self.c1_coeff, "c1_coeff", None)
+    def __new__(cls, dim_c: int, c1_coeff: int, label: str = "") -> BaseManifold:
+        _require_int(dim_c, "dim_c")
+        _require_int(c1_coeff, "c1_coeff", None)
+        return tuple.__new__(cls, (dim_c, c1_coeff, label))
 
     @property
     def is_fano(self) -> bool:
@@ -97,33 +113,29 @@ def parse_base(text: str) -> BaseManifold:
     return BaseManifold(dim_c=int(m.group("d")), c1_coeff=int(m.group("b")), label=text.strip())
 
 
-@dataclass(frozen=True, slots=True)
-class JoinParams:
+class JoinParams(_Validated, namedtuple("JoinParams", "base l1 l2 w1 w2")):
     """Parameters (l1, l2, w1, w2) of a weighted 3-sphere join over `base`.
 
     Use `validate_join` to build one from raw integers; it sorts the
     weights. Direct construction re-checks every invariant.
     """
 
-    base: BaseManifold
-    l1: int
-    l2: int
-    w1: int
-    w2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("l1", "l2", "w1", "w2"):
-            _require_int(getattr(self, name), name)
-        if self.w1 < self.w2:
-            raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({self.w1}, {self.w2})")
-        if gcd(self.l1, self.l2) != 1:
-            raise NotCoprimeError("l1", self.l1, "l2", self.l2)
-        if gcd(self.w1, self.w2) != 1:
-            raise NotCoprimeError("w1", self.w1, "w2", self.w2)
-        if gcd(self.l2, self.l1 * self.w1 * self.w2) != 1:
-            raise SmoothnessViolationError(
-                f"gcd(l2, l1*w1*w2) = gcd({self.l2}, {self.l1 * self.w1 * self.w2}) != 1"
-            )
+    def __new__(cls, base: BaseManifold, l1: int, l2: int, w1: int, w2: int) -> JoinParams:
+        _require_int(l1, "l1")
+        _require_int(l2, "l2")
+        _require_int(w1, "w1")
+        _require_int(w2, "w2")
+        if w1 < w2:
+            raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({w1}, {w2})")
+        if gcd(l1, l2) != 1:
+            raise NotCoprimeError("l1", l1, "l2", l2)
+        if gcd(w1, w2) != 1:
+            raise NotCoprimeError("w1", w1, "w2", w2)
+        if gcd(l2, l1 * w1 * w2) != 1:
+            raise SmoothnessViolationError(f"gcd(l2, l1*w1*w2) = gcd({l2}, {l1 * w1 * w2}) != 1")
+        return tuple.__new__(cls, (base, l1, l2, w1, w2))
 
     @property
     def w_ratio(self) -> Fraction:
@@ -144,18 +156,17 @@ def validate_join(l1: int, l2: int, w1: int, w2: int, base: BaseManifold) -> Joi
     return JoinParams(base=base, l1=l1, l2=l2, w1=w1, w2=w2)
 
 
-@dataclass(frozen=True, slots=True)
-class ReebRay:
+class ReebRay(_Validated, namedtuple("ReebRay", "v1 v2")):
     """A quasi-regular ray in the w-cone, selected by coprime (v1, v2)."""
 
-    v1: int
-    v2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_int(self.v1, "v1")
-        _require_int(self.v2, "v2")
-        if gcd(self.v1, self.v2) != 1:
-            raise NotCoprimeError("v1", self.v1, "v2", self.v2)
+    def __new__(cls, v1: int, v2: int) -> ReebRay:
+        _require_int(v1, "v1")
+        _require_int(v2, "v2")
+        if gcd(v1, v2) != 1:
+            raise NotCoprimeError("v1", v1, "v2", v2)
+        return tuple.__new__(cls, (v1, v2))
 
     @classmethod
     def reduced(cls, v1: int, v2: int) -> "ReebRay":

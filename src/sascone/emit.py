@@ -8,7 +8,6 @@ strings. Sets are emitted as sorted lists. No locale is consulted.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from enum import Enum
 from fractions import Fraction
@@ -35,8 +34,9 @@ def to_jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    fields = getattr(type(obj), "__dataclass_fields__", None)  # a dataclass, told without importing dataclasses
+    if fields is not None:
+        return {name: to_jsonable(getattr(obj, name)) for name in fields}
     if hasattr(obj, "_asdict"):  # NamedTuple
         return {k: to_jsonable(v) for k, v in obj._asdict().items()}
     if isinstance(obj, dict):

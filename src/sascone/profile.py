@@ -116,6 +116,10 @@ class ProfileParams:
         _require_int(self.d_n, "d_n", 0)
         if _require_int(self.n, "n", None) == 0:
             raise InvalidParameterError("n must be a nonzero int, got 0")
+        try:  # the sampler's constant term of ricci_h is fano_index / n in double precision
+            self.fano_index / self.n
+        except OverflowError:
+            raise InvalidParameterError("fano_index/n lies beyond the double range that ricci_h needs") from None
         object.__setattr__(self, "r", float(self.r))
         if not 0.0 < abs(self.r) < 1.0:
             raise InvalidParameterError(f"r must satisfy 0 < |r| < 1, got {self.r}")

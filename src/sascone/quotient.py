@@ -26,7 +26,6 @@ keeps the join-level derivation above, so the two can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -90,8 +89,7 @@ def orb_fano_predicate(join: JoinParams, ray: ReebRay) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class OrbChernReport:
+class OrbChernReport(NamedTuple):
     """Scalar form of the positivity inequalities for one ray.
 
     `a_scalar` is 2*b0/n + 1/m1 - 1/m2 and `c_scalar` is 1/m1 + 1/m2,

@@ -8,15 +8,14 @@ as not applicable rather than emitting misleading labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .core import JoinParams, _require_int
 from .errors import BaseMismatchError, NotFanoError, OddTotalError
 
 
-@dataclass(frozen=True, slots=True)
-class BouquetLabel:
+class BouquetLabel(NamedTuple):
     """Contact-bundle label (k, j, l) together with i = gcd(l, 2(k - j))."""
 
     k: int

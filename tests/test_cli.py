@@ -234,6 +234,8 @@ def test_high_dimensional_bases_certify(join, ray, dim, capsys):
          "--v1", "100", "--v2", "1", "--base", "cp1100"),
         ("metric-from-ray", "--l1", "1", "--l2", "1", "--w1", "3", "--w2", "1",
          "--v1", "1", "--v2", "1" + "0" * 400),  # m2 = 10**400 has no double
+        ("metric", "--m1", "1", "--m2", "1", "--r", "0.5", "--dN", "1", "--n", "1",
+         "--fano-index", "1" + "0" * 400),  # fano_index/n = 10**400 has no double
     ],
 )
 def test_unrepresentable_profile_is_a_validation_error(args):

@@ -10,15 +10,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sascone import (
+    BaseManifold,
     ProfileParams,
     QuotientData,
     RangeKind,
     ReebRay,
     TypeVerdict,
+    bouquet_label,
     build_profile,
+    orb_c1_report,
     positivity_range,
     quotient_data,
     validate_join,
+    whole_cone_rules,
 )
 from sascone.emit import emit_csv, emit_json, format_float, to_jsonable
 from conftest import CP1
@@ -87,6 +91,62 @@ def test_every_core_type_serializes():
         parsed = json.loads(emit_json(record))
         assert isinstance(parsed, dict)
         assert all(key == key.lower() for key in parsed)
+
+
+# The bytes these records emitted as frozen dataclasses; as NamedTuples they must not change.
+_RECORD_BYTES = {
+    "range/interval": (
+        lambda: positivity_range(validate_join(4, 1, 1, 1, CP1)),
+        '{\n  "kind": "interval",\n  "lower": "1/2",\n  "upper": "2"\n}\n',
+    ),
+    "range/half_line": (
+        lambda: positivity_range(validate_join(2, 1, 3, 1, CP1)),
+        '{\n  "kind": "half_line",\n  "lower": "2",\n  "upper": null\n}\n',
+    ),
+    "range/entire": (
+        lambda: positivity_range(validate_join(1, 3, 1, 1, CP1)),
+        '{\n  "kind": "entire",\n  "lower": null,\n  "upper": null\n}\n',
+    ),
+    "range/empty": (
+        lambda: positivity_range(validate_join(4, 1, 1, 1, BaseManifold.riemann_surface(2))),
+        '{\n  "kind": "empty",\n  "lower": null,\n  "upper": null\n}\n',
+    ),
+    "whole_cone/negative": (
+        lambda: whole_cone_rules(validate_join(4, 1, 1, 1, CP1)),
+        '{\n  "c1_coeff": -6,\n  "c1_is_positive": false,\n  "c1_is_zero": false,\n'
+        '  "consistent": true,\n  "entire": false\n}\n',
+    ),
+    "whole_cone/positive": (
+        lambda: whole_cone_rules(validate_join(1, 3, 1, 1, CP1)),
+        '{\n  "c1_coeff": 4,\n  "c1_is_positive": true,\n  "c1_is_zero": false,\n'
+        '  "consistent": true,\n  "entire": true\n}\n',
+    ),
+    "orb_c1/n<0": (
+        lambda: orb_c1_report(validate_join(4, 1, 1, 1, CP1), ReebRay(3, 2)),
+        '{\n  "a_scalar": "-7/6",\n  "branch": "n<0",\n  "c_scalar": "5/6",\n  "n": -4,\n'
+        '  "positive": true\n}\n',
+    ),
+    "orb_c1/n>0": (
+        lambda: orb_c1_report(validate_join(4, 1, 1, 1, CP1), ReebRay(2, 3)),
+        '{\n  "a_scalar": "7/6",\n  "branch": "n>0",\n  "c_scalar": "5/6",\n  "n": 4,\n'
+        '  "positive": true\n}\n',
+    ),
+    "bouquet": (
+        lambda: bouquet_label(validate_join(1, 3, 1, 7, CP1)),
+        '{\n  "i": 3,\n  "j": 1,\n  "k": 4,\n  "l": 3\n}\n',
+    ),
+    "join_and_ray": (
+        lambda: {"join": validate_join(1, 3, 1, 7, CP1), "ray": ReebRay(3, 2)},
+        '{\n  "join": {\n    "base": {\n      "c1_coeff": 2,\n      "dim_c": 1,\n      "label": "CP1"\n'
+        '    },\n    "l1": 1,\n    "l2": 3,\n    "w1": 7,\n    "w2": 1\n  },\n'
+        '  "ray": {\n    "v1": 3,\n    "v2": 2\n  }\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("build, text", _RECORD_BYTES.values(), ids=_RECORD_BYTES.keys())
+def test_exact_records_emit_their_established_bytes(build, text):
+    assert emit_json(build()) == text
 
 
 def test_named_tuple_round_trip():

@@ -77,3 +77,30 @@ def test_config_batch_of_exact_commands_loads_neither_profile_nor_goldens(tmp_pa
 
 def test_replay_tables_does_not_load_profile():
     assert "sascone.profile" not in _cli_modules(["replay-tables"])
+
+
+# runs main(argv) like CLI_PROBE, then prints the exit code and which of `dataclasses` and
+# `inspect` (about 12 ms of import, of which no exact computation has a use) it loaded
+STDLIB_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from sascone.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))]))
+"""
+
+
+@pytest.mark.parametrize("command", [*EXACT_COMMANDS, "--config"])
+def test_exact_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
+    if command == "--config":  # a batch of all five
+        entries = []
+        for argv in EXACT_COMMANDS.values():
+            flags = iter(argv[1:])
+            entries.append({"command": argv[0], **{flag[2:]: value for flag, value in zip(flags, flags)}})
+        config = tmp_path / "batch.json"
+        config.write_text(json.dumps({"commands": entries}))
+        argv = ["--config", str(config)]
+    else:
+        argv = EXACT_COMMANDS[command]
+    assert _run("-c", STDLIB_PROBE, json.dumps(argv)) == [0, []]

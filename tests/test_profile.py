@@ -436,6 +436,16 @@ class TestProfileParamsValidation:
             ProfileParams(**{**args, name: 2**1024 - 2**970})
         assert getattr(ProfileParams(**{**args, name: 2**1024 - 2**971}), name) == sys.float_info.max
 
+    def test_fano_index_over_n_beyond_double_range_is_named(self):
+        args = {"m1": 1, "m2": 1, "d_n": 1, "r": 0.5, "n": 1}
+        for fano, n in ((10**400, 1), (10**400, -1), (2**1024 - 2**970, 1)):
+            with pytest.raises(InvalidParameterError, match="^fano_index/n lies beyond the double range"):
+                ProfileParams(**{**args, "r": math.copysign(0.5, n), "n": n, "fano_index": fano})
+        # the quotient, not fano_index, must have a double; the largest double itself is accepted
+        assert ProfileParams(**args, fano_index=10**400 // 10**100).fano_index == 10**300
+        assert ProfileParams(**{**args, "n": 10**100}, fano_index=10**400).n == 10**100
+        assert ProfileParams(**args, fano_index=2**1024 - 2**971).fano_index / 1 == sys.float_info.max
+
     @pytest.mark.parametrize("grid_size", [2, True, 3.0, None])
     def test_grid_size_is_an_int_of_at_least_three(self, grid_size):
         with pytest.raises(InvalidParameterError):
