@@ -21,7 +21,8 @@ indefinite, and independently of `quotient.orb_fano_predicate`.
 
 A `JoinParams` has already checked its integers, so `positivity_range`
 and `classify_ray` trust them; only `positivity_range_raw`, which takes
-raw integers, checks that l1, l2, w1, w2 are positive ints with w1 >= w2.
+raw integers, checks that l1, l2, w1, w2 are positive ints with w1 >= w2
+and that c1_coeff is an int.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class TypeVerdict(str, enum.Enum):
     INDEFINITE = "indefinite"
 
 
+# members bound once: reading `RangeKind.X` costs 0.1-0.2 µs (CPython 3.11), a global a few ns
+_EMPTY, _ENTIRE, _HALF_LINE, _INTERVAL = RangeKind.EMPTY, RangeKind.ENTIRE, RangeKind.HALF_LINE, RangeKind.INTERVAL
+_POSITIVE, _INDEFINITE = TypeVerdict.POSITIVE, TypeVerdict.INDEFINITE
+
+
 class PositivityRange(_Validated, namedtuple("PositivityRange", "kind lower upper", defaults=(None, None))):
     """Positive subset of the w-cone in the open ratio coordinate v1/v2."""
 
@@ -59,10 +65,10 @@ class PositivityRange(_Validated, namedtuple("PositivityRange", "kind lower uppe
         cls, kind: RangeKind, lower: Fraction | None = None, upper: Fraction | None = None
     ) -> PositivityRange:
         lo, hi = lower, upper  # decided on integers: Fraction denominators are positive
-        if kind is RangeKind.INTERVAL:
+        if kind is _INTERVAL:
             if lo is None or hi is None or not 0 <= lo.numerator * hi.denominator < hi.numerator * lo.denominator:
                 raise InvalidParameterError(f"bad interval bounds ({lo}, {hi})")
-        elif kind is RangeKind.HALF_LINE:
+        elif kind is _HALF_LINE:
             if lo is None or lo.numerator < 0 or hi is not None:
                 raise InvalidParameterError(f"bad half-line bound {lo}")
         elif lo is not None or hi is not None:
@@ -71,29 +77,29 @@ class PositivityRange(_Validated, namedtuple("PositivityRange", "kind lower uppe
 
     def contains(self, ratio: Fraction) -> bool:
         """Strict membership of a positive ratio."""
-        if self.kind is RangeKind.EMPTY:
+        if self.kind is _EMPTY:
             return False
-        if self.kind is RangeKind.ENTIRE:
+        if self.kind is _ENTIRE:
             return True
         if ratio <= self.lower:
             return False
-        return self.kind is RangeKind.HALF_LINE or ratio < self.upper
+        return self.kind is _HALF_LINE or ratio < self.upper
 
     def distance_to_boundary(self, ratio: Fraction) -> Fraction | None:
         """Exact distance from `ratio` to the nearest finite boundary, if any."""
-        if self.kind in (RangeKind.EMPTY, RangeKind.ENTIRE):
+        if self.kind is _EMPTY or self.kind is _ENTIRE:
             return None
         d = abs(ratio - self.lower)
-        if self.kind is RangeKind.INTERVAL:
+        if self.kind is _INTERVAL:
             d = min(d, abs(self.upper - ratio))
         return d
 
     def as_text(self) -> str:
-        if self.kind is RangeKind.EMPTY:
+        if self.kind is _EMPTY:
             return "p+_w is empty"
-        if self.kind is RangeKind.ENTIRE:
+        if self.kind is _ENTIRE:
             return "p+_w = t+_w"
-        if self.kind is RangeKind.HALF_LINE:
+        if self.kind is _HALF_LINE:
             return f"{self.lower} < v1/v2"
         return f"{self.lower} < v1/v2 < {self.upper}"
 
@@ -102,19 +108,19 @@ def _range_bounds(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> tuple:
     """Kind, lower and upper bound of the range; a finite bound is an unreduced (num, den)."""
     shift, top, bottom = l2 * c1_coeff, l1 * w1, l1 * w2
     if c1_coeff <= 0:
-        return RangeKind.EMPTY, None, None
+        return _EMPTY, None, None
     if shift >= top:
-        return RangeKind.ENTIRE, None, None
+        return _ENTIRE, None, None
     if shift < bottom:
-        return RangeKind.INTERVAL, (top - shift, bottom), (top, bottom - shift)
-    return RangeKind.HALF_LINE, (top - shift, bottom), None
+        return _INTERVAL, (top - shift, bottom), (top, bottom - shift)
+    return _HALF_LINE, (top - shift, bottom), None
 
 
 def _as_range(kind: RangeKind, lower: tuple | None, upper: tuple | None) -> PositivityRange:
-    """The range of `_range_bounds`' output, with its bounds as Fractions."""
-    return PositivityRange(
+    """`_range_bounds`' output as a range, unchecked: its bounds meet `PositivityRange`'s checks by construction."""
+    return tuple.__new__(PositivityRange, (
         kind, None if lower is None else Fraction(*lower), None if upper is None else Fraction(*upper)
-    )
+    ))
 
 
 def positivity_range_raw(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> PositivityRange:
@@ -128,6 +134,7 @@ def positivity_range_raw(l1: int, l2: int, w1: int, w2: int, c1_coeff: int) -> P
         _require_int(value, name)
     if w1 < w2:
         raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({w1}, {w2})")
+    _require_int(c1_coeff, "c1_coeff", None)
     return _as_range(*_range_bounds(l1, l2, w1, w2, c1_coeff))
 
 
@@ -143,11 +150,11 @@ def classify_ray(join: JoinParams, ray: ReebRay) -> TypeVerdict:
     """
     kind, lower, upper = _range_bounds(join.l1, join.l2, join.w1, join.w2, join.base.c1_coeff)
     if lower is None:
-        return TypeVerdict.POSITIVE if kind is RangeKind.ENTIRE else TypeVerdict.INDEFINITE
+        return _POSITIVE if kind is _ENTIRE else _INDEFINITE
     v1, v2 = ray.v1, ray.v2
     if v1 * lower[1] > lower[0] * v2 and (upper is None or v1 * upper[1] < upper[0] * v2):
-        return TypeVerdict.POSITIVE
-    return TypeVerdict.INDEFINITE
+        return _POSITIVE
+    return _INDEFINITE
 
 
 class WholeConeReport(NamedTuple):
@@ -172,9 +179,7 @@ def whole_cone_rules(join: JoinParams) -> WholeConeReport:
     coeff = c1_gamma_coeff_sphere_join(join.base.dim_c, join)
     entire = join.l2 * join.base.c1_coeff >= join.l1 * join.w1
     forced = coeff >= 0
-    consistent = (entire or not forced) and entire == (
-        positivity_range(join).kind is RangeKind.ENTIRE
-    )
+    consistent = (entire or not forced) and entire == (positivity_range(join).kind is _ENTIRE)
     return WholeConeReport(
         c1_coeff=coeff,
         c1_is_zero=coeff == 0,

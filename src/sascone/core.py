@@ -3,9 +3,11 @@
 All values are immutable and safe to share between threads. The
 exact-layer records here and in `classifier`, `quotient` and `topology`
 are named tuples. Those that check their fields do it in `__new__`, and
-`_make`, hence `_replace`, calls it, as do pickling and copying. As
-tuples they compare equal to plain tuples of their fields, iterate and
-order. Profile and golden records stay frozen dataclasses:
+`_make`, hence `_replace`, calls it, as do pickling and copying. Records
+derived from checked ones skip it: `positivity_range` and `quotient_data`
+build theirs with `tuple.__new__`, as their formulas yield valid fields.
+As tuples they compare equal to plain tuples of their fields, iterate
+and order. Profile and golden records stay frozen dataclasses:
 `VerificationReport` derives fields on construction, which `_replace`
 would not recompute. Rational arithmetic is `fractions.Fraction`, which
 keeps numerator/denominator in canonical form (gcd 1, positive
@@ -123,10 +125,11 @@ class JoinParams(_Validated, namedtuple("JoinParams", "base l1 l2 w1 w2")):
     __slots__ = ()
 
     def __new__(cls, base: BaseManifold, l1: int, l2: int, w1: int, w2: int) -> JoinParams:
-        _require_int(l1, "l1")
-        _require_int(l2, "l2")
-        _require_int(w1, "w1")
-        _require_int(w2, "w2")
+        # one inline test passes every valid exact int; any other value takes the full checks
+        if not (type(l1) is int and l1 >= 1 and type(l2) is int and l2 >= 1
+                and type(w1) is int and w1 >= 1 and type(w2) is int and w2 >= 1):
+            for name, value in (("l1", l1), ("l2", l2), ("w1", w1), ("w2", w2)):
+                _require_int(value, name)
         if w1 < w2:
             raise InvalidParameterError(f"weights must satisfy w1 >= w2, got ({w1}, {w2})")
         if gcd(l1, l2) != 1:
@@ -149,11 +152,12 @@ def validate_join(l1: int, l2: int, w1: int, w2: int, base: BaseManifold) -> Joi
     the swap). Idempotent: feeding back the fields of a valid JoinParams
     returns an equal JoinParams.
     """
-    _require_int(w1, "w1")
-    _require_int(w2, "w2")
+    if not (type(w1) is int and w1 >= 1 and type(w2) is int and w2 >= 1):
+        _require_int(w1, "w1")
+        _require_int(w2, "w2")
     if w1 < w2:
         w1, w2 = w2, w1
-    return JoinParams(base=base, l1=l1, l2=l2, w1=w1, w2=w2)
+    return JoinParams(base, l1, l2, w1, w2)
 
 
 class ReebRay(_Validated, namedtuple("ReebRay", "v1 v2")):
@@ -162,8 +166,9 @@ class ReebRay(_Validated, namedtuple("ReebRay", "v1 v2")):
     __slots__ = ()
 
     def __new__(cls, v1: int, v2: int) -> ReebRay:
-        _require_int(v1, "v1")
-        _require_int(v2, "v2")
+        if not (type(v1) is int and v1 >= 1 and type(v2) is int and v2 >= 1):
+            _require_int(v1, "v1")
+            _require_int(v2, "v2")
         if gcd(v1, v2) != 1:
             raise NotCoprimeError("v1", v1, "v2", v2)
         return tuple.__new__(cls, (v1, v2))

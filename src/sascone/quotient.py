@@ -57,7 +57,8 @@ def quotient_data(join: JoinParams, ray: ReebRay) -> QuotientData:
         raise ProductCaseError(f"ray ({ray.v1}, {ray.v2}) equals w; quotient degenerates (n = 0)")
     s = gcd(abs(d), join.l2)
     m = join.l2 // s
-    return QuotientData(s, join.l1 * (d // s), m, m * ray.v1, m * ray.v2)
+    # derived from a valid join and ray, so built without the constructor's frame
+    return tuple.__new__(QuotientData, (s, join.l1 * (d // s), m, m * ray.v1, m * ray.v2))
 
 
 def ricci_box_holds(fano_index: int, n: int, m1: int, m2: int) -> bool:

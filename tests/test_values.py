@@ -2,7 +2,10 @@
 
 They are NamedTuples. The validating ones (BaseManifold, JoinParams,
 ReebRay, PositivityRange) run their checks in `__new__`, so `_make`,
-`_replace`, pickling and copying cannot build an invalid value.
+`_replace`, pickling and copying cannot build an invalid value. The
+records the library derives itself (`positivity_range`,
+`positivity_range_raw`, `quotient_data`) skip the constructor; the
+tests at the end rebuild them through it, over the acceptance corpus.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,15 +23,21 @@ from sascone import (
     JoinParams,
     NotCoprimeError,
     PositivityRange,
+    QuotientData,
     RangeKind,
     ReebRay,
     SmoothnessViolationError,
+    TypeVerdict,
     bouquet_label,
+    classify_ray,
     orb_c1_report,
     positivity_range,
+    positivity_range_raw,
+    quotient_data,
     validate_join,
     whole_cone_rules,
 )
+from sascone import classifier
 from conftest import CP1
 
 JOIN = validate_join(4, 1, 1, 1, CP1)
@@ -118,3 +128,85 @@ def test_keywords_and_defaults_are_kept():
     assert PositivityRange(RangeKind.EMPTY) == PositivityRange(kind=RangeKind.EMPTY, lower=None, upper=None)
     assert repr(RAY) == "ReebRay(v1=3, v2=2)"
     assert repr(CP1) == "BaseManifold(dim_c=1, c1_coeff=2, label='CP1')"
+
+
+# The criterion-3 acceptance corpus over the five bases of the classify-corpus benchmark.
+CORPUS_BASES = (
+    BaseManifold.riemann_surface(2),
+    BaseManifold(dim_c=2, c1_coeff=1, label="b1"),
+    CP1,
+    BaseManifold.projective_space(2),
+    BaseManifold.projective_space(3),
+)
+CORPUS = [
+    validate_join(l1, l2, w1, w2, base)
+    for l1 in range(1, 11)
+    for l2 in range(1, 11)
+    if gcd(l1, l2) == 1
+    for w1 in range(1, 13)
+    for w2 in range(1, w1 + 1)
+    if gcd(w1, w2) == 1 and gcd(l2, l1 * w1 * w2) == 1
+    for base in CORPUS_BASES
+]
+SMALL_RAYS = [ReebRay(v1, v2) for v1 in range(1, 8) for v2 in range(1, 8) if gcd(v1, v2) == 1]
+
+
+def _assert_valid_range(rng):
+    assert type(rng) is PositivityRange
+    assert rng == PositivityRange(*rng)  # the validating constructor accepts every field
+    assert type(rng.kind) is RangeKind and rng.kind is RangeKind(rng.kind.value)
+    assert all(bound is None or type(bound) is Fraction for bound in (rng.lower, rng.upper))
+
+
+def test_derived_ranges_pass_the_constructor_checks():
+    assert len(CORPUS) == 8085
+    kinds = set()
+    for join in CORPUS:
+        rng = positivity_range(join)
+        _assert_valid_range(rng)
+        kinds.add(rng.kind)
+    assert kinds == set(RangeKind)
+
+
+def test_raw_ranges_pass_the_constructor_checks():
+    for l1 in range(1, 7):
+        for l2 in range(1, 7):
+            for w1 in range(1, 7):
+                for w2 in range(1, w1 + 1):
+                    for c1 in range(-2, 9):
+                        _assert_valid_range(positivity_range_raw(l1, l2, w1, w2, c1))
+
+
+def test_derived_quotient_data_matches_the_constructor_and_the_formulas():
+    checked = 0
+    for join in CORPUS:
+        for ray in SMALL_RAYS:
+            d = join.w1 * ray.v2 - join.w2 * ray.v1
+            if d == 0:
+                continue
+            data = quotient_data(join, ray)
+            assert type(data) is QuotientData and data == QuotientData(*data)
+            s = gcd(abs(d), join.l2)
+            m = join.l2 // s
+            assert data == (s, join.l1 * d // s, m, m * ray.v1, m * ray.v2)  # s divides d
+            checked += 1
+    assert checked > 100_000
+
+
+def test_enum_aliases_are_the_members():
+    assert classifier._EMPTY is RangeKind.EMPTY
+    assert classifier._ENTIRE is RangeKind.ENTIRE
+    assert classifier._HALF_LINE is RangeKind.HALF_LINE
+    assert classifier._INTERVAL is RangeKind.INTERVAL
+    assert classifier._POSITIVE is TypeVerdict.POSITIVE
+    assert classifier._INDEFINITE is TypeVerdict.INDEFINITE
+
+
+def test_classify_ray_returns_the_verdict_members():
+    verdicts = set()
+    for join in CORPUS[::7]:
+        for ray in SMALL_RAYS:
+            verdict = classify_ray(join, ray)
+            assert verdict is TypeVerdict.POSITIVE or verdict is TypeVerdict.INDEFINITE
+            verdicts.add(id(verdict))
+    assert verdicts == {id(TypeVerdict.POSITIVE), id(TypeVerdict.INDEFINITE)}
