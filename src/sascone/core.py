@@ -8,9 +8,9 @@ derived from checked ones skip it: `positivity_range` and `quotient_data`
 build theirs with `tuple.__new__`, as their formulas yield valid fields.
 As tuples they compare equal to plain tuples of their fields, iterate
 and order. Profile and golden records stay frozen dataclasses:
-`VerificationReport` derives fields on construction, which `_replace`
-would not recompute. Rational arithmetic is `fractions.Fraction`, which
-keeps numerator/denominator in canonical form (gcd 1, positive
+`VerificationReport` derives its verdicts on construction, which
+`_replace` would not rerun. Rational arithmetic is `fractions.Fraction`,
+which keeps numerator/denominator in canonical form (gcd 1, positive
 denominator) by construction.
 
 Conventions baked into the types:

@@ -34,11 +34,10 @@ def to_jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    fields = getattr(type(obj), "__dataclass_fields__", None)  # a dataclass, told without importing dataclasses
+    # a dataclass, told without importing dataclasses, or a named tuple
+    fields = getattr(type(obj), "__dataclass_fields__", None) or getattr(type(obj), "_fields", None)
     if fields is not None:
         return {name: to_jsonable(getattr(obj, name)) for name in fields}
-    if hasattr(obj, "_asdict"):  # NamedTuple
-        return {k: to_jsonable(v) for k, v in obj._asdict().items()}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):

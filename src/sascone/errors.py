@@ -69,7 +69,7 @@ class NonpositiveVolumeError(PreconditionError):
 
 
 class BracketFailureError(PreconditionError):
-    """Root solve failed: f is not finite on the bracket, or |f| at the best k exceeds tol."""
+    """Root solve failed: f has no finite sign change on the bracket, or |f| at the best k exceeds tol."""
 
 
 def exit_code_for(exc: BaseException) -> int:

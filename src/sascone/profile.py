@@ -86,6 +86,7 @@ from .quotient import QuotientData, quotient_data, ricci_box_holds
 DEFAULT_GRID = 201
 # largest sum |Q_j| / ((a+b) * int(p)) at which the closed form runs
 _CONDITION_BOUND = 512.0
+_K_CAP = 2.0**1023  # the bracket's bound, the largest power of two a double holds: 2*|k| stays finite
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,10 +150,14 @@ class SolveDiagnostics:
 class VerificationReport:
     """Numerical certificate attached to a built profile.
 
-    `kernel` names the form of F that ran at the root: "series" or
-    "closed". `horizontal_positive` is `box_ok`: ricci_h * n is monotone
-    in z with endpoint values box_first/m2 and box_second/m1. `endpoints_ok`
-    and `all_ok` are derived from the other fields on construction.
+    The init fields are what `build_profile` measured or decided; `kernel`
+    names the form of F that ran at the root, "series" or "closed". The
+    verdicts are derived from them, so a report cannot contradict itself:
+    `interior_positive` is interior_min_f > 0, `horizontal_positive` is
+    `box_ok`, `vertical_positive` is `g_monotone`, `endpoints_ok` bounds the
+    endpoint residuals by 1e-10, and `all_ok`, a valid admissible profile, is
+    endpoints_ok and interior_positive and g_monotone. Ricci positivity is
+    `box_ok`: an indefinite ray has `all_ok` true and `box_ok` false.
     """
 
     grid_size: int
@@ -163,38 +168,39 @@ class VerificationReport:
     fprime_lo_residual: float
     fprime_hi_residual: float
     interior_min_f: float
-    interior_positive: bool
     max_g_dt: float
     g_monotone: bool
     box_ok: bool
     box_first: int
     box_second: int
-    horizontal_positive: bool
-    vertical_positive: bool
     ke_balance: float
     is_ke: bool
     synthetic_dimension: bool
+    interior_positive: bool = field(init=False)
+    horizontal_positive: bool = field(init=False)
+    vertical_positive: bool = field(init=False)
     endpoints_ok: bool = field(init=False)
     all_ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        endpoints_ok = (
-            max(self.endpoint_f_lo, self.endpoint_f_hi) <= 1e-10
-            and max(self.fprime_lo_residual, self.fprime_hi_residual) <= 1e-10
-        )
-        coeffs_ok = not self.box_ok or (self.horizontal_positive and self.vertical_positive)
-        object.__setattr__(self, "endpoints_ok", endpoints_ok)
-        object.__setattr__(
-            self, "all_ok", endpoints_ok and self.interior_positive and self.g_monotone and coeffs_ok
-        )
+        object.__setattr__(self, "interior_positive", self.interior_min_f > 0.0)
+        object.__setattr__(self, "horizontal_positive", self.box_ok)
+        object.__setattr__(self, "vertical_positive", self.g_monotone)
+        object.__setattr__(self, "endpoints_ok", max(self.endpoint_f_lo, self.endpoint_f_hi) <= 1e-10
+                           and max(self.fprime_lo_residual, self.fprime_hi_residual) <= 1e-10)
+        object.__setattr__(self, "all_ok", self.endpoints_ok and self.interior_positive and self.g_monotone)
 
 
 @dataclass(frozen=True, slots=True)
 class MetricProfile:
     params: ProfileParams
-    k_root: float
     columns: tuple[tuple[float, ...], ...]  # the grid, in ProfileSample._fields order
     report: VerificationReport
+
+    @property
+    def k_root(self) -> float:
+        """The root k* of f, which is `report.root.k`."""
+        return self.report.root.k
 
     @property
     def samples(self) -> tuple[ProfileSample, ...]:
@@ -416,12 +422,12 @@ def _tolerance(kern: _Kernel, tol_rel: float) -> float:
 
 def _solve_k(kern: _Kernel, tol: float) -> SolveDiagnostics:
     lo, hi = -1.0, 1.0
-    while (f_lo := kern.f(lo)) <= 0.0:
+    while (f_lo := kern.f(lo)) <= 0.0 and lo > -_K_CAP:
         lo *= 2.0
-    while (f_hi := kern.f(hi)) >= 0.0:
+    while (f_hi := kern.f(hi)) >= 0.0 and hi < _K_CAP:
         hi *= 2.0
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise BracketFailureError(f"f is not finite on the bracket [{lo}, {hi}]")
+    if not math.inf > f_lo > 0.0 > f_hi > -math.inf:
+        raise BracketFailureError(f"f has no finite sign change on the bracket [{lo}, {hi}]")
     bracket = (lo, hi)
     it = 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -449,8 +455,8 @@ def solve_k(params: ProfileParams, tol_rel: float = 1e-12) -> float:
     The bisection runs until no double lies between the bracket's ends
     (or f is exactly 0) and returns the end with the smaller |f|. tol_rel
     is only the failure threshold: BracketFailureError is raised when that
-    |f| exceeds tol_rel * (1/m1 + 1/m2) * int(p), or when f is not finite
-    at the first sign change of the doubling. Monotonicity of f keeps the
+    |f| exceeds tol_rel * (1/m1 + 1/m2) * int(p), or when f has no finite
+    sign change on [-2**1023, 2**1023]. Monotonicity of f keeps the
     invariant f(lo) > 0 > f(hi). A NaN, infinite or negative tol_rel is
     an InvalidParameterError.
     """
@@ -468,14 +474,15 @@ def build_profile(
     verdict with its two integer scalars, and the flat (Kaehler-Einstein)
     specialization flag. InvalidParameterError is raised when tol_rel is
     NaN, infinite or negative, and when p or Theta = F/p leaves the double
-    range on the grid, before the solve when p is 0 at z = -sign(r).
+    range on the grid, before the solve when p at -1 or 1 is 0 or too large.
     """
     _require_int(grid_size, "grid_size", 3)
     m1, m2, r, d_n, n, fano = params.m1, params.m2, params.r, params.d_n, params.n, params.fano_index
     try:
         kern = _kernel(params)
         tol = _tolerance(kern, tol_rel)
-        if weight_poly(-math.copysign(1.0, r), r, d_n) == 0.0:
+        p_lo, p_hi = weight_poly(-1.0, r, d_n), weight_poly(1.0, r, d_n)
+        if min(p_lo, p_hi) == 0.0:
             raise ZeroDivisionError  # Theta = F/p divides by this p = 0 for every k
         diag = _solve_k(kern, tol)
         root = _Root(kern, diag.k)
@@ -487,16 +494,10 @@ def build_profile(
     if not representable:
         raise InvalidParameterError(f"d_n = {d_n}, r = {r}: p or Theta = F/p leaves the double range")
     k = diag.k
-    interior_min = min(islice(fs, 1, grid_size - 1))
     # dg/dt = -(a+b) * k*lead * exp(-k*z - |k|) is negative wherever its
     # log is finite, even where the product underflows; the exponent is
     # affine in z, so its extremes are at the endpoints.
     log_dg = math.log((1.0 / m1 + 1.0 / m2) * _k_lead(k))
-    monotone = all(math.isfinite(log_dg - k * z - abs(k)) for z in (-1.0, 1.0))
-
-    p_lo = weight_poly(-1.0, r, d_n)
-    p_hi = weight_poly(1.0, r, d_n)
-    box_ok = ricci_box_holds(fano, n, m1, m2)
     report = VerificationReport(
         grid_size=grid_size,
         root=diag,
@@ -505,21 +506,18 @@ def build_profile(
         endpoint_f_hi=abs(fs[-1]),
         fprime_lo_residual=abs(g_func(-1.0, k, m1, m2) - 2.0 / m2) * p_lo,
         fprime_hi_residual=abs(g_func(1.0, k, m1, m2) + 2.0 / m1) * p_hi,
-        interior_min_f=interior_min,
-        interior_positive=interior_min > 0.0,
+        interior_min_f=min(islice(fs, 1, grid_size - 1)),
         max_g_dt=max_g_dt,
-        g_monotone=monotone,
-        box_ok=box_ok,
+        g_monotone=all(math.isfinite(log_dg - k * z - abs(k)) for z in (-1.0, 1.0)),
+        box_ok=ricci_box_holds(fano, n, m1, m2),
         box_first=fano * m2 - n,
         box_second=fano * m1 + n,
-        horizontal_positive=box_ok,
-        vertical_positive=monotone,
         ke_balance=kern.f(0.0),
         is_ke=abs(k) <= 1e-13
         and abs(2.0 * r * (fano / n) - (1.0 + r) / m2 - (1.0 - r) / m1) <= 1e-12,
         synthetic_dimension=d_n == 0,
     )
-    return MetricProfile(params=params, k_root=k, columns=columns, report=report)
+    return MetricProfile(params=params, columns=columns, report=report)
 
 
 def profile_params_from_ray(

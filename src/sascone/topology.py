@@ -12,7 +12,9 @@ from math import gcd
 from typing import NamedTuple
 
 from .core import JoinParams, _require_int
-from .errors import BaseMismatchError, NotFanoError, OddTotalError
+from .errors import BaseMismatchError, InvalidParameterError, NotFanoError, OddTotalError
+
+_MAX_BOUQUET_K = 10**6  # the level sets list every j in 1..k: at this k, about 2 s and 14 MB of JSON
 
 
 class BouquetLabel(NamedTuple):
@@ -76,8 +78,9 @@ def bouquet_level_set(k: int, l: int, i: int) -> set[int]:
 
 
 def bouquet_partition(k: int, l: int) -> dict[int, set[int]]:
-    """Partition of 1..k by the bouquet map j -> gcd(l, 2(k-j))."""
-    _require_int(k, "k")
+    """Partition of 1..k by the bouquet map j -> gcd(l, 2(k-j)), for k up to 10**6."""
+    if _require_int(k, "k") > _MAX_BOUQUET_K:
+        raise InvalidParameterError(f"k must be an int <= {_MAX_BOUQUET_K}, got {k}")
     _require_int(l, "l")
     out: dict[int, set[int]] = {}
     for j in range(1, k + 1):

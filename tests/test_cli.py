@@ -13,6 +13,9 @@ from sascone.goldens import GoldenCheck
 from conftest import child_env
 
 
+MAX_INT_DOUBLE = str(int(sys.float_info.max))
+
+
 def run_cli(*args: str):
     return subprocess.run(
         [sys.executable, "-m", "sascone", *args], capture_output=True, text=True, env=child_env()
@@ -189,6 +192,16 @@ def test_root_tolerance_is_the_failure_threshold():
     assert json.loads(r.stderr)["error"]["type"] == "BracketFailureError"
 
 
+@pytest.mark.parametrize("m1, m2, r, n", [("1", MAX_INT_DOUBLE, "0.5", "1"),
+                                          (MAX_INT_DOUBLE, "1", "-0.5", "-1")])
+def test_root_beyond_the_bracket_cap_is_a_precondition_failure(m1, m2, r, n, capsys):
+    argv = ["metric", "--m1", m1, "--m2", m2, "--r", r, "--dN", "1", "--n", n, "--fano-index", "2"]
+    assert cli.main(argv) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert out == "" and error["type"] == "BracketFailureError" and "inf" not in error["message"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_root_tolerance_must_be_finite_and_nonnegative(tol):
     r = run_cli(
@@ -286,6 +299,18 @@ def test_bouquet_partition_mode():
     r = run_cli("bouquet", "--k", "4", "--l", "3")
     payload = json.loads(r.stdout)
     assert payload["level_sets"] == {"1": [2, 3], "3": [1, 4]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bouquet", "--k", str(2**53 + 1), "--l", "1"],
+     ["bouquet", "--l1", str(2**53 + 1), "--l2", "1", "--w1", "1", "--w2", "1"]],  # k = l1
+    ids=["partition", "join"],
+)
+def test_bouquet_k_too_large_to_list_is_a_validation_error(argv, capsys):
+    assert cli.main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]["type"] == "InvalidParameterError"
 
 
 def test_h1_command():

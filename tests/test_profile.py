@@ -17,6 +17,7 @@ from sascone import (
     ProfileParams,
     ProfileSample,
     ReebRay,
+    VerificationReport,
     build_profile,
     f_of_k,
     g_dt,
@@ -36,6 +37,7 @@ from oracles import F_exact, g_raw, quad_f, quad_profile_F, sign_changes
 
 ASYM = ProfileParams(m1=3, m2=2, d_n=1, r=-0.5, n=-4, fano_index=2)
 SYM = ProfileParams(m1=1, m2=1, d_n=0, r=0.5, n=1, fano_index=1)
+MAX_INT_DOUBLE = int(sys.float_info.max)  # the largest ramification index ProfileParams accepts
 
 # 30-digit evaluation of 4*(1 - coth(1)), the symmetric m1=m2=1, d_n=0 value
 F_OF_ONE_SYMMETRIC = -1.2521411419973252
@@ -159,6 +161,23 @@ class TestSolveK:
         # r = 3*(m1 - m2)/(m1 + m2) makes the k = 0 balance integral vanish for d_n = 1
         params = ProfileParams(m1=5, m2=4, d_n=1, r=3.0 * 1 / 9.0, n=1, fano_index=1)
         assert abs(solve_k(params)) <= 1e-10
+
+    # at (1, MAX_INT_DOUBLE) the root k* is about -1.35e308, beyond the bracket cap 2**1023
+    @pytest.mark.parametrize("m1, m2, r, n", [(1, MAX_INT_DOUBLE, 0.5, 1), (MAX_INT_DOUBLE, 1, -0.5, -1)])
+    def test_bracket_stops_at_the_largest_power_of_two(self, m1, m2, r, n):
+        params = ProfileParams(m1=m1, m2=m2, d_n=1, r=r, n=n, fano_index=2)
+        for solve in (solve_k, build_profile):
+            with pytest.raises(BracketFailureError, match="no finite sign change") as exc:
+                solve(params)
+            assert "inf" not in str(exc.value) and str(2.0**1023) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "m1, m2, r, n", [(1, 10**308, 0.5, 1), (3, MAX_INT_DOUBLE, 0.5, 1), (MAX_INT_DOUBLE, 3, -0.5, -1)]
+    )
+    def test_roots_inside_the_bracket_cap_certify(self, m1, m2, r, n):
+        profile = build_profile(ProfileParams(m1=m1, m2=m2, d_n=1, r=r, n=n, fano_index=2), grid_size=5)
+        assert 1e307 < abs(profile.k_root) < 2.0**1023
+        assert profile.report.all_ok
 
 
 class TestBuildProfile:
@@ -491,11 +510,25 @@ class TestRicciCoefficients:
             profile = build_profile(params, grid_size=201)
             assert all(s.ricci_v > 0 for s in profile.samples)
 
-    @pytest.mark.parametrize("flag", ["horizontal_positive", "vertical_positive"])
-    def test_nonpositive_coefficient_fails_certificate_when_box_holds(self, flag):
+    @pytest.mark.parametrize("source, flag", [("box_ok", "horizontal_positive"),
+                                              ("g_monotone", "vertical_positive")])
+    def test_coefficient_flag_follows_its_source(self, source, flag):
         report = build_profile(ASYM, grid_size=5).report
-        assert report.box_ok and report.all_ok
-        assert not dataclasses.replace(report, **{flag: False}).all_ok
+        assert report.box_ok and report.all_ok and getattr(report, flag)
+        changed = dataclasses.replace(report, **{source: False})
+        assert not getattr(changed, flag)
+        # all_ok certifies the admissible profile; Ricci positivity is box_ok alone
+        assert changed.all_ok == (source == "box_ok")
+
+    def test_verdicts_are_derived_not_settable(self):
+        derived = {f.name for f in dataclasses.fields(VerificationReport) if not f.init}
+        assert derived == {"interior_positive", "horizontal_positive", "vertical_positive",
+                           "endpoints_ok", "all_ok"}
+        profile = build_profile(ASYM, grid_size=5)
+        assert [f.name for f in dataclasses.fields(profile)] == ["params", "columns", "report"]
+        assert profile.k_root == profile.report.root.k
+        report = dataclasses.replace(profile.report, interior_min_f=0.0)
+        assert not report.interior_positive and not report.all_ok
 
     @pytest.mark.parametrize("e", [53, 60, 1000])
     def test_horizontal_verdict_is_the_box_where_the_column_rounds_to_zero(self, e):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from sascone import (
     BaseMismatchError,
+    InvalidParameterError,
     NotFanoError,
     OddTotalError,
     b_invariant_wcone,
@@ -107,6 +108,14 @@ class TestLevelSets:
         pieces = list(partition.values())
         assert sum(len(p) for p in pieces) == k
         assert set().union(*pieces) == set(range(1, k + 1))
+
+    # the level sets list every j in 1..k, so a k past 10**6 is refused before any is built
+    @pytest.mark.parametrize("k", [10**6 + 1, 2**53 + 1, 10**400])
+    def test_level_sets_refuse_a_k_too_large_to_list(self, k):
+        with pytest.raises(InvalidParameterError, match="k must be an int <= 1000000"):
+            bouquet_partition(k, 1)
+        with pytest.raises(InvalidParameterError, match="k must be an int <= 1000000"):
+            bouquet_level_set(k, 1, 1)
 
 
 class TestBInvariant:
