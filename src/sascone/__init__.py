@@ -31,8 +31,7 @@ _HOMES = {
                     "SmoothnessViolationError", "ValidationError")),
         ("goldens", ("CheckOutcome", "GoldenCheck", "default_checks", "replay_tables")),
         ("profile", ("MetricProfile", "ProfileParams", "ProfileSample", "VerificationReport",
-                     "build_profile", "f_of_k", "g_dt", "g_func", "profile_F",
-                     "profile_params_from_ray", "solve_k", "weight_poly")),
+                     "build_profile", "g_dt", "g_func", "profile_params_from_ray", "solve_k")),
         ("quotient", ("OrbChernReport", "QuotientData", "orb_c1_report", "orb_fano_predicate",
                       "quotient_data", "ricci_box_holds")),
         ("topology", ("BouquetLabel", "b_invariant_wcone", "bouquet_label", "bouquet_level_set",

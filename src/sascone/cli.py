@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fano-index", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-12, help="relative root residual that fails (exit 3)")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_metric)
 
@@ -108,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compose quotient data with the profile construction")
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_metric_from_ray)
 
@@ -267,7 +265,7 @@ def _profile_result(
     from .profile import DEFAULT_GRID, build_profile
 
     grid = DEFAULT_GRID if args.grid is None else args.grid
-    profile = build_profile(params, grid_size=grid, tol_rel=args.tol)
+    profile = build_profile(params, grid_size=grid)
     report: dict = {"params": profile.params, "k_root": profile.k_root, "report": profile.report}
     if extra_report:
         report.update(extra_report)

@@ -1,15 +1,15 @@
 """Exact integer and rational domain types shared by every module.
 
 All values are immutable and safe to share between threads. The
-exact-layer records here and in `classifier`, `quotient` and `topology`
-are named tuples. Those that check their fields do it in `__new__`, and
-`_make`, hence `_replace`, calls it, as do pickling and copying. Records
-derived from checked ones skip it: `positivity_range` and `quotient_data`
-build theirs with `tuple.__new__`, as their formulas yield valid fields.
-As tuples they compare equal to plain tuples of their fields, iterate
-and order. Profile and golden records stay frozen dataclasses:
-`VerificationReport` derives its verdicts on construction, which
-`_replace` would not rerun. Rational arithmetic is `fractions.Fraction`,
+exact-layer records here and in `classifier`, `quotient` and `topology`,
+and the golden records of `goldens`, are named tuples. Those that check
+their fields do it in `__new__`, and `_make`, hence `_replace`, calls
+it, as do pickling and copying. Records derived from checked ones skip
+it: `positivity_range` and `quotient_data` build theirs with
+`tuple.__new__`, as their formulas yield valid fields. As tuples they
+compare equal to plain tuples of their fields, iterate and order.
+Profile records stay frozen dataclasses: `VerificationReport` derives
+its verdicts on construction, which `_replace` would not rerun. Rational arithmetic is `fractions.Fraction`,
 which keeps numerator/denominator in canonical form (gcd 1, positive
 denominator) by construction.
 

@@ -32,8 +32,6 @@ class NotCoprimeError(ValidationError):
 
     def __init__(self, name_a: str, a: int, name_b: str, b: int) -> None:
         super().__init__(f"{name_a}={a} and {name_b}={b} must be relatively prime")
-        self.pair = (name_a, name_b)
-        self.values = (a, b)
 
 
 class SmoothnessViolationError(ValidationError):

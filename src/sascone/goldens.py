@@ -17,8 +17,7 @@ join validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .classifier import positivity_range, positivity_range_raw
 from .core import parse_base, validate_join
@@ -32,16 +31,14 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class GoldenCheck:
+class GoldenCheck(NamedTuple):
     check_id: str
     op: str
     args: dict[str, Any]
     expected: Any
 
 
-@dataclass(frozen=True, slots=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     check: GoldenCheck
     got: Any
     ok: bool

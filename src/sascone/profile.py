@@ -84,9 +84,15 @@ from .errors import BracketFailureError, InvalidParameterError
 from .quotient import QuotientData, quotient_data, ricci_box_holds
 
 DEFAULT_GRID = 201
+_GRID_MAX = 10**6  # the largest grid: five columns of it take about 300 MB
 # largest sum |Q_j| / ((a+b) * int(p)) at which the closed form runs
 _CONDITION_BOUND = 512.0
 _K_CAP = 2.0**1023  # the bracket's bound, the largest power of two a double holds: 2*|k| stays finite
+# The root's failure threshold, relative to the scale (1/m1 + 1/m2) * int(p)
+# of f. The bisection runs to adjacent doubles whatever the threshold, so it
+# only decides failure: found roots on criterion-4 draws and golden-family
+# rays leave at most 3e-3 of it.
+_TOL_REL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,11 +214,6 @@ class MetricProfile:
         return tuple(map(tuple.__new__, repeat(ProfileSample), zip(*self.columns)))
 
 
-def weight_poly(z: float, r: float, d_n: int) -> float:
-    """The fiber weight polynomial p(z) = (1 + r*z)**d_n."""
-    return (1.0 + r * z) ** d_n
-
-
 def _lead(k: float) -> float:
     """lead = exp(|k|)/sinh k, the anchored form of 1/sinh k; k != 0."""
     return math.copysign(2.0 / -math.expm1(-2.0 * abs(k)), k)
@@ -273,10 +274,11 @@ class _Kernel:
 
     __slots__ = ("alpha", "beta", "coeffs", "m0", "q_total")
 
-    def __init__(self, m1: int, m2: int, r: float, d_n: int) -> None:
-        self.alpha = 1.0 / m1
-        self.beta = 1.0 / m2
-        self.coeffs = [math.comb(d_n, p) * r**p for p in range(d_n + 1)]
+    def __init__(self, params: ProfileParams) -> None:
+        self.alpha = 1.0 / params.m1
+        self.beta = 1.0 / params.m2
+        r = params.r
+        self.coeffs = [math.comb(params.d_n, p) * r**p for p in range(params.d_n + 1)]
         # ascending coefficients of M_0(z), the integral of p from -1 to z
         self.m0 = _vanish_at_minus_one([0.0] + [c / e for e, c in enumerate(self.coeffs, 1)])
         self.q_total = _horner(self.m0, 1.0)
@@ -400,27 +402,8 @@ class _Root:
         ))), dg_u * min(us)
 
 
-def _kernel(params: ProfileParams) -> _Kernel:
-    return _Kernel(params.m1, params.m2, params.r, params.d_n)
-
-
-def f_of_k(k: float, params: ProfileParams) -> float:
-    """The root function f(k) = integral of g(t, k) * p(t) over [-1, 1]."""
-    return _kernel(params).f(float(k))
-
-
-def profile_F(z: float, k: float, params: ProfileParams) -> float:
-    """The profile F(z) = integral of g(t, k) * p(t) from -1 to z."""
-    return _Root(_kernel(params), float(k)).big_f(float(z))
-
-
-def _tolerance(kern: _Kernel, tol_rel: float) -> float:
-    if not 0.0 <= tol_rel < math.inf:
-        raise InvalidParameterError(f"tol_rel must be finite and nonnegative, got {tol_rel}")
-    return tol_rel * (kern.alpha + kern.beta) * kern.q_total
-
-
-def _solve_k(kern: _Kernel, tol: float) -> SolveDiagnostics:
+def _solve_k(kern: _Kernel) -> SolveDiagnostics:
+    tol = _TOL_REL * (kern.alpha + kern.beta) * kern.q_total
     lo, hi = -1.0, 1.0
     while (f_lo := kern.f(lo)) <= 0.0 and lo > -_K_CAP:
         lo *= 2.0
@@ -449,42 +432,39 @@ def _solve_k(kern: _Kernel, tol: float) -> SolveDiagnostics:
     )
 
 
-def solve_k(params: ProfileParams, tol_rel: float = 1e-12) -> float:
+def solve_k(params: ProfileParams) -> float:
     """Unique root of f, by bracket doubling from [-1, 1] then bisection.
 
     The bisection runs until no double lies between the bracket's ends
-    (or f is exactly 0) and returns the end with the smaller |f|. tol_rel
-    is only the failure threshold: BracketFailureError is raised when that
-    |f| exceeds tol_rel * (1/m1 + 1/m2) * int(p), or when f has no finite
-    sign change on [-2**1023, 2**1023]. Monotonicity of f keeps the
-    invariant f(lo) > 0 > f(hi). A NaN, infinite or negative tol_rel is
-    an InvalidParameterError.
+    (or f is exactly 0) and returns the end with the smaller |f|.
+    BracketFailureError is raised when that |f| exceeds the fixed threshold
+    1e-12 * (1/m1 + 1/m2) * int(p), or when f has no finite sign change on
+    [-2**1023, 2**1023]. Monotonicity of f keeps the invariant
+    f(lo) > 0 > f(hi).
     """
-    return _solve_k(kern := _kernel(params), _tolerance(kern, tol_rel)).k
+    return _solve_k(_Kernel(params)).k
 
 
-def build_profile(
-    params: ProfileParams, grid_size: int = DEFAULT_GRID, tol_rel: float = 1e-12
-) -> MetricProfile:
+def build_profile(params: ProfileParams, grid_size: int = DEFAULT_GRID) -> MetricProfile:
     """Solve for k, sample the profile on a uniform grid, and certify it.
 
     The grid covers [-1, 1] endpoints included; the profile stores it as
     columns, on which every check runs. The report records the endpoint
     residuals of F and F', interior positivity, monotonicity of g, the box
     verdict with its two integer scalars, and the flat (Kaehler-Einstein)
-    specialization flag. InvalidParameterError is raised when tol_rel is
-    NaN, infinite or negative, and when p or Theta = F/p leaves the double
+    specialization flag. InvalidParameterError is raised when grid_size is
+    not an int in [3, 10**6], and when p or Theta = F/p leaves the double
     range on the grid, before the solve when p at -1 or 1 is 0 or too large.
     """
-    _require_int(grid_size, "grid_size", 3)
+    if _require_int(grid_size, "grid_size", 3) > _GRID_MAX:
+        raise InvalidParameterError(f"grid_size must be at most {_GRID_MAX}, got {grid_size}")
     m1, m2, r, d_n, n, fano = params.m1, params.m2, params.r, params.d_n, params.n, params.fano_index
     try:
-        kern = _kernel(params)
-        tol = _tolerance(kern, tol_rel)
-        p_lo, p_hi = weight_poly(-1.0, r, d_n), weight_poly(1.0, r, d_n)
+        kern = _Kernel(params)
+        p_lo, p_hi = (1.0 - r) ** d_n, (1.0 + r) ** d_n
         if min(p_lo, p_hi) == 0.0:
             raise ZeroDivisionError  # Theta = F/p divides by this p = 0 for every k
-        diag = _solve_k(kern, tol)
+        diag = _solve_k(kern)
         root = _Root(kern, diag.k)
         columns, max_g_dt = root.sample(grid_size, params)
         _, fs, thetas, _, _ = columns

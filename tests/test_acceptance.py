@@ -22,7 +22,6 @@ from sascone import (
     bouquet_label,
     build_profile,
     c1_gamma_coeff_sphere_join,
-    f_of_k,
     orb_fano_predicate,
     positivity_range,
     positivity_range_raw,
@@ -31,6 +30,7 @@ from sascone import (
     torsion_order,
     validate_join,
 )
+from sascone.profile import _Kernel
 from oracles import quad_f, quad_profile_F, sign_changes
 
 CP1 = BaseManifold.projective_space(1)
@@ -194,7 +194,8 @@ def test_criterion_4_profile_certification():
             failures.append(f"{params}: max dg/dz {rep.max_g_dt}")
 
         ks = [k - 6.0 + 12.0 * i / 999 for i in range(1000)]
-        changes = sign_changes([f_of_k(kk, params) for kk in ks])
+        f = _Kernel(params).f
+        changes = sign_changes([f(kk) for kk in ks])
         if len(changes) != 1:
             failures.append(f"{params}: {len(changes)} sign changes of f")
 
@@ -202,7 +203,7 @@ def test_criterion_4_profile_certification():
             scale = (1.0 / m1 + 1.0 / m2) * 2.0 * (1.0 + abs(r)) ** d_n
             for kk in (k - 1.0, k + 1.0):
                 ref = quad_f(kk, m1, m2, r, d_n)
-                if abs(f_of_k(kk, params) - ref) > 1e-10 * max(abs(ref), 1e-2 * scale):
+                if abs(f(kk) - ref) > 1e-10 * max(abs(ref), 1e-2 * scale):
                     failures.append(f"{params}: f({kk}) vs quadrature")
             for z in (-0.5, 0.5):
                 ref = quad_profile_F(z, k, m1, m2, r, d_n)

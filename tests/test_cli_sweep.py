@@ -2,8 +2,8 @@
 
 Each option is drawn from a small alphabet of boundary values: ints from 0
 to beyond the double range, floats from NaN to the smallest subnormal, and
-a malformed string. `--grid` stays small, because a grid's five columns are
-allocated before any check.
+a malformed string. `--grid` stays small apart from one value above the cap
+of 10**6, which is rejected before a grid's five columns are allocated.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ ABSENT = None  # an optional option left out
 JOIN = {"--l1": INTS, "--l2": INTS, "--w1": INTS, "--w2": INTS, "--base": BASES + (ABSENT,)}
 RAY = {"--v1": INTS, "--v2": INTS}
 FORMAT = ("json", "text", MALFORMED, ABSENT)
-PROFILE = {"--grid": ("3", "4", "201", ABSENT), "--tol": FLOATS + (ABSENT,),
-           "--out": ("csv", "json", MALFORMED, ABSENT)}
+PROFILE = {"--grid": ("3", "4", "201", str(10**6 + 1), ABSENT), "--out": ("csv", "json", MALFORMED, ABSENT)}
 
 # (command, its options with their alphabets); bouquet takes join flags or --k/--l, one draw each
 EXACT = (

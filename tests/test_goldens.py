@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 from sascone import default_checks, replay_tables
 from sascone.goldens import GoldenCheck
 
@@ -25,9 +23,7 @@ def test_checks_cover_all_published_tables():
 def test_tampered_expected_value_is_caught():
     checks = default_checks()
     victim = next(c for c in checks if c.check_id == "bouquet4/m1/b_invariant")
-    tampered = [
-        dataclasses.replace(c, expected=99) if c is victim else c for c in checks
-    ]
+    tampered = [c._replace(expected=99) if c is victim else c for c in checks]
     outcomes = replay_tables(tampered)
     bad = [o for o in outcomes if not o.ok]
     assert len(bad) == 1 and bad[0].check.check_id == "bouquet4/m1/b_invariant"

@@ -91,7 +91,7 @@ print(json.dumps([code, sorted({"dataclasses", "inspect"} & (set(sys.modules) - 
 """
 
 
-@pytest.mark.parametrize("command", [*EXACT_COMMANDS, "--config"])
+@pytest.mark.parametrize("command", [*EXACT_COMMANDS, "--config", "replay-tables"])
 def test_exact_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
     if command == "--config":  # a batch of all five
         entries = []
@@ -102,5 +102,5 @@ def test_exact_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
         config.write_text(json.dumps({"commands": entries}))
         argv = ["--config", str(config)]
     else:
-        argv = EXACT_COMMANDS[command]
+        argv = EXACT_COMMANDS.get(command, [command])
     assert _run("-c", STDLIB_PROBE, json.dumps(argv)) == [0, []]

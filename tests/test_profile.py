@@ -19,19 +19,16 @@ from sascone import (
     ReebRay,
     VerificationReport,
     build_profile,
-    f_of_k,
     g_dt,
     g_func,
-    profile_F,
     profile_params_from_ray,
     ricci_box_holds,
     solve_k,
     validate_join,
-    weight_poly,
 )
 import sascone.profile
 from sascone.emit import emit_csv
-from sascone.profile import _kernel, _Root
+from sascone.profile import _Kernel, _Root
 from conftest import CP1, CP2, GENUS2
 from oracles import F_exact, g_raw, quad_f, quad_profile_F, sign_changes
 
@@ -95,26 +92,26 @@ class TestTransitionFunction:
 
 class TestRootFunction:
     def test_odd_integrand_vanishes_at_zero(self):
-        assert f_of_k(0.0, SYM) == 0.0
+        assert _Kernel(SYM).f(0.0) == 0.0
 
     def test_symmetric_value_at_one(self):
-        got = f_of_k(1.0, SYM)
+        got = _Kernel(SYM).f(1.0)
         assert got == pytest.approx(F_OF_ONE_SYMMETRIC, abs=5e-15)
         assert got == pytest.approx(quad_f(1.0, 1, 1, 0.5, 0), abs=1e-12)
 
     def test_limit_signs(self):
         for params in (SYM, ASYM, ProfileParams(9, 1, 4, 0.9, 3, 1)):
-            assert f_of_k(60.0, params) < 0.0
-            assert f_of_k(-60.0, params) > 0.0
+            assert _Kernel(params).f(60.0) < 0.0
+            assert _Kernel(params).f(-60.0) > 0.0
 
     def test_series_and_closed_form_agree_at_cutoff(self):
         for params in (ASYM, ProfileParams(7, 2, 3, -0.8, -5, 2)):
-            kern = _kernel(params)
+            kern = _Kernel(params)
             switch = _switch_point(kern)
             before = math.nextafter(switch, 0.0)
             assert (_Root(kern, before).kind, _Root(kern, switch).kind) == ("series", "closed")
-            below = f_of_k(before, params)
-            at = f_of_k(switch, params)
+            below = kern.f(before)
+            at = kern.f(switch)
             assert below == pytest.approx(at, rel=1e-11)
 
     @given(
@@ -131,7 +128,7 @@ class TestRootFunction:
         params = ProfileParams(m1=m1, m2=m2, d_n=d_n, r=r, n=1 if pos else -1, fano_index=1)
         ref = quad_f(kval, m1, m2, r, d_n)
         scale = (1.0 / m1 + 1.0 / m2) * (1.0 + abs(r)) ** d_n * 2.0
-        assert abs(f_of_k(kval, params) - ref) <= 1e-10 * max(abs(ref), 1e-2 * scale)
+        assert abs(_Kernel(params).f(kval) - ref) <= 1e-10 * max(abs(ref), 1e-2 * scale)
 
 
 class TestSolveK:
@@ -144,14 +141,15 @@ class TestSolveK:
     def test_asymmetric_root(self):
         k = solve_k(ASYM)
         # int(p) = 2 for d_n = 1 at any r, so the stated tolerance is explicit
-        assert abs(f_of_k(k, ASYM)) <= 1e-12 * (1 / 3 + 1 / 2) * 2.0
-        assert f_of_k(k - 1e-6, ASYM) > 0.0 > f_of_k(k + 1e-6, ASYM)
+        f = _Kernel(ASYM).f
+        assert abs(f(k)) <= 1e-12 * (1 / 3 + 1 / 2) * 2.0
+        assert f(k - 1e-6) > 0.0 > f(k + 1e-6)
 
     def test_root_against_sign_scan(self):
         for params in (ASYM, ProfileParams(8, 3, 2, 0.7, 5, 2), ProfileParams(2, 9, 4, -0.6, -7, 3)):
             k = solve_k(params)
             ks = [k - 4.0 + 8.0 * i / 999 for i in range(1000)]
-            vals = [f_of_k(kk, params) for kk in ks]
+            vals = [_Kernel(params).f(kk) for kk in ks]
             changes = sign_changes(vals)
             assert len(changes) == 1
             idx = changes[0]
@@ -200,6 +198,15 @@ class TestBuildProfile:
         with pytest.raises(InvalidParameterError):
             build_profile(SYM, grid_size=2)
 
+    def test_grid_above_the_cap_is_rejected_before_the_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was solved or sampled")
+
+        monkeypatch.setattr(sascone.profile, "_solve_k", refuse)
+        monkeypatch.setattr(_Root, "sample", refuse)
+        with pytest.raises(InvalidParameterError, match="at most 1000000, got 1000001"):
+            build_profile(SYM, grid_size=10**6 + 1)
+
     def test_asymmetric_certificate(self):
         profile = build_profile(ASYM, grid_size=1001)
         rep = profile.report
@@ -219,15 +226,16 @@ class TestBuildProfile:
     def test_theta_is_f_over_weight(self):
         profile = build_profile(ASYM, grid_size=101)
         for s in profile.samples:
-            assert s.theta == pytest.approx(s.f / weight_poly(s.z, ASYM.r, ASYM.d_n), rel=1e-14)
+            assert s.theta == pytest.approx(s.f / (1.0 + ASYM.r * s.z) ** ASYM.d_n, rel=1e-14)
 
     def test_fprime_matches_g_times_weight_inside(self):
         profile = build_profile(ASYM, grid_size=5)
         k = profile.k_root
         h = 1e-6
         for s in profile.samples[1:-1]:
-            fd = (profile_F(s.z + h, k, ASYM) - profile_F(s.z - h, k, ASYM)) / (2 * h)
-            expected = g_func(s.z, k, ASYM.m1, ASYM.m2) * weight_poly(s.z, ASYM.r, ASYM.d_n)
+            big_f = _Root(_Kernel(ASYM), k).big_f
+            fd = (big_f(s.z + h) - big_f(s.z - h)) / (2 * h)
+            expected = g_func(s.z, k, ASYM.m1, ASYM.m2) * (1.0 + ASYM.r * s.z) ** ASYM.d_n
             assert fd == pytest.approx(expected, rel=1e-7, abs=1e-9)
 
     def test_kaehler_einstein_flags(self):
@@ -257,16 +265,16 @@ class TestSampler:
         params = ProfileParams(m1=3, m2=2, d_n=d_n, r=-0.6, n=-4, fano_index=2)
         m1, m2, r, n = params.m1, params.m2, params.r, params.n
         scale = (1.0 / m1 + 1.0 / m2) * 2.0 * (1.0 + abs(r)) ** d_n
-        root = _Root(_kernel(params), k)
+        root = _Root(_Kernel(params), k)
         assert root.kind == self.KINDS[abs(k)]
         grid = 101
         columns, max_g_dt = root.sample(grid, params)
         samples = list(map(ProfileSample._make, zip(*columns)))
         assert [s.z for s in samples] == [(2.0 * i) / (grid - 1) - 1.0 for i in range(grid)]
         for s in samples:
-            f = profile_F(s.z, k, params)
+            f = root.big_f(s.z)
             assert self._close(s.f, f, scale)
-            assert self._close(s.theta, f / weight_poly(s.z, r, d_n), scale)
+            assert self._close(s.theta, f / (1.0 + r * s.z) ** d_n, scale)
             assert self._close(s.ricci_h, params.fano_index / n - 0.5 * g_func(s.z, k, m1, m2), scale)
             # ricci_v carries the certificate's sign, so it is compared
             # relatively, with no absolute floor
@@ -280,7 +288,7 @@ class TestSampler:
     @pytest.mark.parametrize("k", [sign * k for k in KINDS for sign in (1.0, -1.0)])
     def test_sampled_f_is_big_f_bit_for_bit(self, d_n, k):
         params = ProfileParams(m1=3, m2=2, d_n=d_n, r=-0.6, n=-4, fano_index=2)
-        root = _Root(_kernel(params), k)
+        root = _Root(_Kernel(params), k)
         for grid in (3, 4, 101):
             (zs, fs, *_), max_g_dt = root.sample(grid, params)
             assert [f.hex() for f in fs] == [root.big_f(z).hex() for z in zs]
@@ -293,7 +301,7 @@ class TestSampler:
         assert 290.0 < k < 310.0 and profile.report.kernel == "closed"
         scale = (1.0 / 600 + 1.0) * 2.0
         for s in profile.samples[::5]:
-            assert self._close(s.f, profile_F(s.z, k, params), scale)
+            assert self._close(s.f, _Root(_Kernel(params), k).big_f(s.z), scale)
             assert self._close(s.f, quad_profile_F(s.z, k, 600, 1, 0.5, 0), scale)
         assert profile.report.all_ok
 
@@ -382,12 +390,9 @@ class TestColumns:
 
         monkeypatch.setattr(sascone.profile, "_solve_k", refuse)
         params = ProfileParams(m1=3, m2=2, d_n=d_n, r=r, n=n, fano_index=2)
-        assert weight_poly(-math.copysign(1.0, r), r, d_n) == 0.0
+        assert (1.0 + r * -math.copysign(1.0, r)) ** d_n == 0.0
         with pytest.raises(InvalidParameterError, match=f"d_n = {d_n}, r = {r}: p or Theta"):
             build_profile(params)
-        # a bad tolerance is still reported first
-        with pytest.raises(InvalidParameterError, match="tol_rel"):
-            build_profile(params, tol_rel=math.nan)
 
 
 class TestKernelAccuracy:
@@ -407,7 +412,7 @@ class TestKernelAccuracy:
             assert abs(F_exact(1.0, k, m1, m2, r, d_n)) <= 2e-12 * scale
             k_any = math.copysign(10 ** rng.uniform(-3, 3), rng.uniform(-1, 1))
             for z, kk in ((-0.5, k), (0.5, k), (0.0, k_any)):
-                assert abs(profile_F(z, kk, params) - F_exact(z, kk, m1, m2, r, d_n)) <= 1e-12 * scale
+                assert abs(_Root(_Kernel(params), kk).big_f(z) - F_exact(z, kk, m1, m2, r, d_n)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("w1, base, lower", [(7, CP1, 5), (12, CP2, 9)])
     def test_golden_half_lines_certify_out_to_1e4(self, w1, base, lower):

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 
 from sascone import (
+    BaseManifold,
     ProductCaseError,
     QuotientData,
     ReebRay,
+    TypeVerdict,
+    classify_ray,
     orb_c1_report,
     orb_fano_predicate,
+    positivity_range,
     quotient_data,
     validate_join,
 )
@@ -110,3 +115,28 @@ def test_predicate_scale_invariance(join, ray):
         scaled = ReebRay.reduced(t * ray.v1, t * ray.v2)
         assert scaled == ray
         assert orb_fano_predicate(join, scaled) == orb_fano_predicate(join, ray)
+
+
+def test_walls_are_where_one_box_condition_turns_to_equality():
+    # each finite bound a/b of the range, as the ray (a, b), has a quotient on
+    # the boundary of the box: I_N*m2 == n on a lower bound, I_N*m1 == -n on
+    # an upper one, so the ray is neither orbifold Fano nor positive
+    walls = {"lower": 0, "upper": 0}
+    for p, l1, l2, w1, w2 in product(range(1, 6), *[range(1, 13)] * 4):
+        if w2 > w1 or not gcd(l1, l2) == gcd(w1, w2) == gcd(l2, l1 * w1 * w2) == 1:
+            continue
+        join = validate_join(l1, l2, w1, w2, BaseManifold.projective_space(p))
+        bounds = positivity_range(join)
+        for side, bound in (("lower", bounds.lower), ("upper", bounds.upper)):
+            if bound is None:
+                continue
+            ray = ReebRay(bound.numerator, bound.denominator)
+            data = quotient_data(join, ray)
+            if side == "lower":
+                assert join.base.c1_coeff * data.m2 == data.n, (join, ray)
+            else:
+                assert join.base.c1_coeff * data.m1 == -data.n, (join, ray)
+            assert not orb_fano_predicate(join, ray), (join, ray)
+            assert classify_ray(join, ray) is TypeVerdict.INDEFINITE, (join, ray)
+            walls[side] += 1
+    assert walls == {"lower": 8515, "upper": 5407}
