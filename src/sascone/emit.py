@@ -9,13 +9,16 @@ strings. Sets are emitted as sorted lists. No locale is consulted.
 from __future__ import annotations
 
 import math
+import struct
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii  # json.dumps(s, ensure_ascii=True) for a str s
 from typing import Any, Iterable, Sequence
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+_MEMO_CELLS = 2**14  # the longest first CSV column whose texts `_texts_of_bits` keeps, 8 at most
 
 
 def format_float(x: float) -> str:
@@ -26,10 +29,12 @@ def format_float(x: float) -> str:
 
 def to_jsonable(obj: Any) -> Any:
     """Normalize a record into plain JSON-compatible values."""
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj.value if isinstance(obj, Enum) else obj  # the package's enums are str enums
-    if isinstance(obj, int):
+    if type(obj) in (float, str, bool) or obj is None:  # exact types first; subclasses take the chain
+        return obj
+    if isinstance(obj, int):  # no bool gets here: bool has no subclasses
         return obj if _INT64_MIN <= obj <= _INT64_MAX else str(obj)
+    if isinstance(obj, str):
+        return obj.value if isinstance(obj, Enum) else obj  # the package's enums are str enums
     if isinstance(obj, float):
         return obj
     if isinstance(obj, Fraction):
@@ -49,18 +54,18 @@ def to_jsonable(obj: Any) -> Any:
 
 def _write(value: Any, out: list[str], indent: int) -> None:
     pad = "  " * indent
-    if value is None:
+    if isinstance(value, float):  # the commonest first; none of None, True, False is a float or str
+        out.append(format_float(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, float):
-        out.append(format_float(value))
     elif isinstance(value, int):
         out.append(str(value))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
     elif isinstance(value, list):
         if not value:
             out.append("[]")
@@ -99,11 +104,25 @@ def emit_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
 
     Cells read as `format_float` prints them, and a non-finite one raises its
     ValueError. A row whose width differs from the header's raises TypeError.
+    A short float first column, as a profile's z, is formatted once per column.
     """
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    body = "".join([line % tuple(row) for row in rows])
+    rows = list(rows)
+    tuples = len(header) and {*map(type, rows)} == {tuple} and {*map(len, rows)} == {len(header)}
+    first = [row[0] for row in rows] if tuples else []
+    if {*map(type, first)} == {float} and len(first) <= _MEMO_CELLS:
+        rest = line[5:]  # the cells after the first "%.17g", each with its comma
+        texts = _texts_of_bits(struct.pack(f"{len(first)}d", *first))
+        body = "".join([text + rest % row[1:] for text, row in zip(texts, rows)])
+    else:
+        body = "".join([line % tuple(row) for row in rows])
     if "n" in body:  # a finite %.17g cell has no "n"; "inf", "-inf" and "nan" do
         row = body[: body.index("\n", body.index("n"))].rpartition("\n")[2]
         cell = next(text for text in row.split(",") if "n" in text)  # the float's repr
         raise ValueError(f"cannot emit non-finite float {cell}")
     return ",".join(header) + "\n" + body
+
+
+@lru_cache(maxsize=8)
+def _texts_of_bits(bits: bytes) -> tuple[str, ...]:  # the `%.17g` texts of packed doubles
+    return tuple(map("%.17g".__mod__, struct.unpack(f"{len(bits) // 8}d", bits)))

@@ -59,12 +59,12 @@ so no term overflows for any finite k. Two forms cover every k:
 The closed form cancels when S is large (small |k|, large d_n); its
 rounding error is about eps * sum |Q_j|. It runs when sum |Q_j| <=
 _CONDITION_BOUND * (a+b) * int(p), the scale of F, and the series runs
-otherwise. The root solver evaluates f(k) = F(1; k) through the same
-form and bisects until its bracket holds no double between the ends;
-the tolerance is only a failure threshold. After the root k* is found,
-Q and R are built once, and sampling makes one pass over the grid per
-column and per two Horner steps, at one exponential a point (two in the
-series form); g and dg/dt are affine in it. dg/dt is not stored: the
+otherwise. The root solver sums f(k) = F(1; k) in the same form, bit for
+bit, with no R built, and bisects until its bracket holds no double
+between the ends; the tolerance only decides failure. Q and R are built
+once at the root k*, and sampling makes one pass over the grid (built
+once per size) per column and per two Horner steps, at one exponential
+a point (two in the series form); g and dg/dt are affine in it. dg/dt is not stored: the
 report's max_g_dt is its exact value at the smallest exponential. The
 certificate scans the F and Theta columns that `MetricProfile` stores;
 its `samples` are rows built on every read. Everything is pure and
@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice, repeat
 from typing import NamedTuple, Sequence
 
@@ -250,7 +251,7 @@ def _horner(coeffs: Sequence[float], z: float) -> float:
     return acc
 
 
-def _horner_grid(coeffs: Sequence[float], zs: list[float]) -> list[float]:
+def _horner_grid(coeffs: Sequence[float], zs: Sequence[float]) -> list[float]:
     """`_horner` at each point of `zs`, two of its steps, (x*z + hi)*z + lo, per pass."""
     desc = iter(coeffs[::-1])
     acc = [next(desc)] * len(zs)
@@ -260,6 +261,12 @@ def _horner_grid(coeffs: Sequence[float], zs: list[float]) -> list[float]:
     for hi, lo in zip(desc, desc):
         acc = [(x * z + hi) * z + lo for x, z in zip(acc, zs)]
     return acc
+
+
+@lru_cache(maxsize=4)  # at most four grids kept, 32 MB each at _GRID_MAX
+def _grid(grid_size: int) -> tuple[float, ...]:
+    """The uniform grid z = i/(grid_size - 1) - 1 of [-1, 1] over even i, built once per grid size."""
+    return tuple([i / (grid_size - 1) - 1.0 for i in range(0, 2 * grid_size - 1, 2)])
 
 
 def _vanish_at_minus_one(poly: list[float]) -> list[float]:
@@ -272,7 +279,7 @@ def _vanish_at_minus_one(poly: list[float]) -> list[float]:
 class _Kernel:
     """Polynomial data of g(t, k) * p(t) for fixed (m1, m2, r, d_n)."""
 
-    __slots__ = ("alpha", "beta", "coeffs", "m0", "q_total")
+    __slots__ = ("alpha", "beta", "coeffs", "m0", "q_steps", "q_total")
 
     def __init__(self, params: ProfileParams) -> None:
         self.alpha = 1.0 / params.m1
@@ -282,20 +289,50 @@ class _Kernel:
         # ascending coefficients of M_0(z), the integral of p from -1 to z
         self.m0 = _vanish_at_minus_one([0.0] + [c / e for e, c in enumerate(self.coeffs, 1)])
         self.q_total = _horner(self.m0, 1.0)
+        # the steps (e + 1, p_e) of Q's recursion, top power first
+        self.q_steps = tuple((float(e + 1), self.coeffs[e]) for e in range(params.d_n, -1, -1))
+
+    def closed_form(self, k: float) -> tuple[list[float], float, float, float] | None:
+        """Q, Q(1), R's weight on M_0 and R's constant term at k; None at k = 0 or past _CONDITION_BOUND.
+
+        exp(-k*t) * p(t) has the antiderivative -exp(-k*t) * S(t) with k*S - S' = p, solved from the
+        top coefficient down; Q is -(a+b) * lead * S, and R's constant term makes F(-1) = 0."""
+        if not k:
+            return None
+        a, b, lead = self.alpha, self.beta, _lead(k)
+        q_weight = -(a + b) * lead
+        q, nxt, q_lo, q_hi = [], 0.0, 0.0, 0.0  # q_lo, q_hi: Q(-1) and Q(1) by `_horner`'s steps
+        for e, c in self.q_steps:
+            nxt = (q_weight * c + e * nxt) / k
+            q.append(nxt)
+            q_lo = nxt - q_lo
+            q_hi += nxt
+        q.reverse()
+        if not sum(map(abs, q)) <= _CONDITION_BOUND * (a + b) * self.q_total:
+            return None
+        u_lo = math.exp(k - abs(k))  # u(-1)
+        m0_weight = -lead * (a * u_lo + b * math.exp(-k - abs(k)))
+        return q, q_hi, m0_weight, m0_weight * self.m0[0] - u_lo * q_lo
 
     def f(self, k: float) -> float:
-        """f(k) = F(1; k)."""
-        return _Root(self, k).big_f(1.0)
+        """f(k) = F(1; k), bit for bit `_Root(self, k).big_f(1.0)`, with no R built in the closed form."""
+        if (closed := self.closed_form(k)) is None:
+            return _Root(self, k).big_f(1.0)
+        _, q_hi, m0_weight, r_0 = closed
+        r_hi = 0.0  # R(1) by `_horner`'s steps
+        for m in self.m0[:0:-1]:
+            r_hi += m0_weight * m
+        return (r_hi + r_0) + math.exp(-k - abs(k)) * q_hi
 
 
 class _Root:
     """F(z; k) at one fixed k, as u(z) * Q(z) + R(z); see "Numerics".
 
     Q and R are polynomials with ascending coefficients `q` and `r`, and Q
-    is empty in the series form. This constructor is the only place that
-    writes F's closed form and its series; `kind` names the form that
-    ran: "closed" when its cancellation stays within _CONDITION_BOUND,
-    "series" otherwise.
+    is empty in the series form. This constructor and `_Kernel.closed_form`
+    are the only places that write F's closed form and its series; `kind`
+    names the form that ran: "closed" when its cancellation stays within
+    _CONDITION_BOUND, "series" otherwise.
     """
 
     __slots__ = ("k", "kind", "q", "r")
@@ -304,26 +341,11 @@ class _Root:
         a, b = kern.alpha, kern.beta
         ab = a + b
         self.k = k
-        if k:
-            # exp(-k*t) * p(t) has the antiderivative -exp(-k*t) * S(t) with
-            # k*S - S' = p, solved from the top coefficient down; Q is
-            # -(a+b) * lead * S, and the constant of R makes F(-1) = 0.
-            lead = _lead(k)
-            q_weight = -ab * lead
-            coeffs = kern.coeffs
-            q = [0.0] * len(coeffs)
-            nxt = q_lo = 0.0
-            for e in range(len(q) - 1, -1, -1):
-                nxt = q[e] = (q_weight * coeffs[e] + (e + 1) * nxt) / k
-                q_lo = nxt - q_lo  # Q(-1) by Horner's rule
-            if sum(map(abs, q)) <= _CONDITION_BOUND * ab * kern.q_total:
-                self.kind = "closed"
-                self.q = q
-                u_lo = math.exp(k - abs(k))  # u(-1)
-                m0_weight = -lead * (a * u_lo + b * math.exp(-k - abs(k)))
-                self.r = r = [m0_weight * m for m in kern.m0]
-                r[0] -= u_lo * q_lo
-                return
+        if (closed := kern.closed_form(k)) is not None:
+            self.kind = "closed"
+            self.q, _, m0_weight, r_0 = closed
+            self.r = [r_0] + [m0_weight * m for m in kern.m0[1:]]
+            return
         # The series form of "Numerics", with scale = k / sinh k and D/k
         # integrated term by term from
         #   expm1(-k*t)/k = sum over i >= 1 of (-1)**i * k**(i-1) * t**i / i!.
@@ -377,8 +399,7 @@ class _Root:
         k = self.k
         a, b = 1.0 / params.m1, 1.0 / params.m2
         ab = a + b
-        last = grid_size - 1
-        zs = [i / last - 1.0 for i in range(0, 2 * last + 1, 2)]
+        zs = _grid(grid_size)
         nk, ak, exp = -k, abs(k), math.exp
         us = [exp(nk * z - ak) for z in zs]
         ws = (us if self.q else [math.expm1(nk * z - ak) for z in zs]) if k else zs

@@ -24,7 +24,7 @@ from sascone import (
     validate_join,
     whole_cone_rules,
 )
-from sascone.emit import emit_csv, emit_json, format_float, to_jsonable
+from sascone.emit import _MEMO_CELLS, _texts_of_bits, emit_csv, emit_json, format_float, to_jsonable
 from conftest import CP1
 
 
@@ -210,6 +210,52 @@ def test_csv_names_the_first_non_finite_cell(bad, row, col):
 def test_csv_rejects_a_row_of_another_width(row):
     with pytest.raises(TypeError):
         emit_csv(("a", "b"), [(0.5, 0.25), row])
+
+
+def test_csv_memo_keeps_the_sign_of_zero():
+    for _ in range(3):  # the second and third calls take the memoised texts
+        assert emit_csv(("z", "f"), [(0.0, 1.0), (-0.0, 2.0)]) == "z,f\n0,1\n-0,2\n"
+        assert emit_csv(("z", "f"), [(-0.0, 1.0), (0.0, 2.0)]) == "z,f\n-0,1\n0,2\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_csv_memo_hit_still_names_a_non_finite_first_cell(bad):
+    rows = [(0.25, 1.0), (bad, 2.0)]
+    for _ in range(2):
+        hits = _texts_of_bits.cache_info().hits
+        with pytest.raises(ValueError) as raised:
+            emit_csv(("a", "b"), rows)
+        assert str(raised.value) == f"cannot emit non-finite float {bad!r}"
+    assert _texts_of_bits.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("first, text", [(3, "3"), (True, "1"), (10**400, None)])
+def test_csv_first_cells_that_are_not_floats_skip_the_memo(first, text):
+    # an all-int column, and a float column with one int cell
+    for rows, expected in (([(first, 0.5), (first, 1.5)], f"a,b\n{text},0.5\n{text},1.5\n"),
+                           ([(2.5, 0.5), (first, 1.5)], f"a,b\n2.5,0.5\n{text},1.5\n")):
+        before = _texts_of_bits.cache_info()
+        for _ in range(2):
+            if text is None:
+                with pytest.raises(OverflowError, match="int too large to convert to float"):
+                    emit_csv(("a", "b"), rows)
+            else:
+                assert emit_csv(("a", "b"), rows) == expected
+        assert _texts_of_bits.cache_info() == before
+
+
+def test_csv_memo_stays_at_its_bound():
+    for n in range(1000):
+        assert emit_csv(("z",), [(i / (n + 1),) for i in range(3)]).count("\n") == 4
+    info = _texts_of_bits.cache_info()
+    assert info.currsize == info.maxsize
+
+
+def test_csv_long_first_column_is_not_memoised():
+    rows = [(i / _MEMO_CELLS,) for i in range(_MEMO_CELLS + 1)]
+    before = _texts_of_bits.cache_info()
+    assert emit_csv(("z",), rows) == _csv_per_cell(("z",), rows)
+    assert _texts_of_bits.cache_info() == before
 
 
 @given(st.text())

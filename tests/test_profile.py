@@ -28,7 +28,7 @@ from sascone import (
 )
 import sascone.profile
 from sascone.emit import emit_csv
-from sascone.profile import _Kernel, _Root
+from sascone.profile import _Kernel, _Root, _solve_k
 from conftest import CP1, CP2, GENUS2
 from oracles import F_exact, g_raw, quad_f, quad_profile_F, sign_changes
 
@@ -114,6 +114,25 @@ class TestRootFunction:
             at = kern.f(switch)
             assert below == pytest.approx(at, rel=1e-11)
 
+    # k at both ends of the double range, in the series region near 0, moderate, and large
+    F_KS = (5e-324, 1e-300, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 1.0, 2.5, 13.0, 100.0, 700.0, 2.0**1023)
+    NEAR_ONE = math.nextafter(1.0, 0.0)
+
+    @pytest.mark.parametrize("d_n", [*range(9), 40])
+    def test_f_is_big_f_at_one_bit_for_bit(self, d_n):
+        # _Kernel.f sums the closed form without building R; the sum must be `_horner`'s
+        rng = random.Random(d_n)
+        kinds = set()
+        for m1, m2, r in ((1, 1, 0.5), (3, 2, -0.6), (10**300, 1, self.NEAR_ONE), (1, 10**300, -self.NEAR_ONE),
+                          (7, 10**150, 0.999), (10**300, 10**300, -0.05)):
+            kern = _Kernel(ProfileParams(m1, m2, d_n, r, 1 if r > 0 else -1, 1))
+            ks = self.F_KS + tuple(10.0 ** rng.uniform(-12.0, 3.0) for _ in range(30))
+            for k in (0.0, *ks, *(-k for k in ks)):
+                root = _Root(kern, k)
+                kinds.add(root.kind)
+                assert kern.f(k).hex() == root.big_f(1.0).hex(), (m1, m2, r, k)
+        assert kinds == {"closed", "series"}
+
     @given(
         m1=st.integers(1, 9),
         m2=st.integers(1, 9),
@@ -176,6 +195,38 @@ class TestSolveK:
         profile = build_profile(ProfileParams(m1=m1, m2=m2, d_n=1, r=r, n=n, fano_index=2), grid_size=5)
         assert 1e307 < abs(profile.k_root) < 2.0**1023
         assert profile.report.all_ok
+
+
+    # ((m1, m2, d_n, r), k*.hex(), bisection steps) as the bisection lands them; n and the Fano
+    # index do not enter f. Any change to where the solver lands shows here first.
+    PINNED_ROOTS = [
+        ((1, 9, 0, 0.404), "-0x1.3fdaa75d5a7e3p+2", 50),  # criterion-4 draws
+        ((9, 5, 4, 0.585), "-0x1.cd7aada0831e0p-1", 49),
+        ((2, 5, 3, -0.921), "0x1.1335f365a2b80p-1", 47),
+        ((2, 6, 2, 0.562), "-0x1.ceced4e81d414p+1", 52),
+        ((4, 2, 1, 0.538), "0x1.e8868a7fc7322p-2", 54),
+        ((7, 2, 0, -0.065), "0x1.0dcf484ecd67fp+1", 54),
+        ((3, 2, 1, -0.5), "0x1.26aee83b876a0p+0", 53),  # (4,1,1,1)/CP1, ray (3, 2)
+        ((100, 1, 1, -0.5), "0x1.2da926ba83c0cp+6", 53),  # (1,1,7,1)/CP1, ray (100, 1)
+        ((10000, 1, 1, -0.5), "0x1.d4c6aa9b21e39p+12", 53),  # (1,1,7,1)/CP1, ray (10000, 1)
+        ((1000, 1, 2, -0.5), "0x1.03b551d41ba7ap+10", 53),  # (1,1,12,1)/CP2, ray (1000, 1)
+        ((10000, 1, 2, -0.5), "0x1.4487e5b323d9fp+13", 53),  # (1,1,12,1)/CP2, ray (10000, 1)
+        ((1, 1, 0, 0.5), "0x0.0p+0", 1),  # Kaehler-Einstein, f(0) = 0
+        ((5, 4, 1, 1 / 3), "0x0.0p+0", 1),  # Kaehler-Einstein
+        ((2, 1, 3, 0.3), "0x1.559b0934b0480p-3", 49),  # a series-form root
+        ((100, 1, 30, -0.5), "0x1.026a764e17153p+10", 53),  # HIGH_DIMENSION_CASES of test_cli at cp30, cp40
+        ((100, 1, 40, -0.5), "0x1.55bfcb388a793p+10", 53),
+        ((6, 1, 30, 0.5), "-0x1.b3b6e75fe0edbp+0", 53),  # series form
+        ((6, 1, 40, 0.5), "-0x1.262e7e442e980p+1", 53),  # series form, |f| is noise near the root
+        ((3, 2, 30, -0.5), "0x1.f67325f810cc3p+3", 53),
+        ((1, 1, 30, 0.5), "-0x1.500b01c612f6cp+3", 52),
+    ]
+
+    @pytest.mark.parametrize("params, k_hex, iterations", PINNED_ROOTS)
+    def test_pinned_roots(self, params, k_hex, iterations):
+        m1, m2, d_n, r = params
+        diag = _solve_k(_Kernel(ProfileParams(m1, m2, d_n, r, 1 if r > 0 else -1, 1)))
+        assert (diag.k.hex(), diag.iterations) == (k_hex, iterations)
 
 
 class TestBuildProfile:
@@ -316,6 +367,11 @@ class TestColumns:
         ("closed", 1): ProfileParams(m1=600, m2=1, d_n=0, r=0.5, n=1, fano_index=1),
         ("closed", -1): ASYM,
     }
+
+    def test_profiles_at_one_grid_size_share_its_z_column(self):
+        a, b = (build_profile(params, grid_size=41) for params in (ASYM, SYM))
+        assert a.columns[0] is b.columns[0]
+        assert build_profile(ASYM, grid_size=43).columns[0] is not a.columns[0]
 
     @pytest.mark.parametrize("kind, sign", list(PARAMS))
     def test_samples_are_the_rows_of_the_columns(self, kind, sign):
