@@ -2,16 +2,18 @@
 
 All values are immutable and safe to share between threads. The
 exact-layer records here and in `classifier`, `quotient` and `topology`,
-and the golden records of `goldens`, are named tuples. Those that check
+the golden records of `goldens`, and `ProfileParams` and
+`SolveDiagnostics` of `profile` are named tuples. Those that check
 their fields do it in `__new__`, and `_make`, hence `_replace`, calls
 it, as do pickling and copying. Records derived from checked ones skip
 it: `positivity_range` and `quotient_data` build theirs with
 `tuple.__new__`, as their formulas yield valid fields. As tuples they
 compare equal to plain tuples of their fields, iterate and order.
-Profile records stay frozen dataclasses: `VerificationReport` derives
-its verdicts on construction, which `_replace` would not rerun. Rational arithmetic is `fractions.Fraction`,
-which keeps numerator/denominator in canonical form (gcd 1, positive
-denominator) by construction.
+Only `VerificationReport` and `MetricProfile` stay frozen dataclasses,
+for `dataclasses.replace`: `VerificationReport` derives its verdicts on
+construction, which `_replace` would not rerun. Rational arithmetic is
+`fractions.Fraction`, which keeps numerator/denominator in canonical
+form (gcd 1, positive denominator) by construction.
 
 Conventions baked into the types:
 
@@ -139,10 +141,6 @@ class JoinParams(_Validated, namedtuple("JoinParams", "base l1 l2 w1 w2")):
         if gcd(l2, l1 * w1 * w2) != 1:
             raise SmoothnessViolationError(f"gcd(l2, l1*w1*w2) = gcd({l2}, {l1 * w1 * w2}) != 1")
         return tuple.__new__(cls, (base, l1, l2, w1, w2))
-
-    @property
-    def w_ratio(self) -> Fraction:
-        return Fraction(self.w1, self.w2)
 
 
 def validate_join(l1: int, l2: int, w1: int, w2: int, base: BaseManifold) -> JoinParams:

@@ -9,7 +9,7 @@ strings. Sets are emitted as sorted lists. No locale is consulted.
 from __future__ import annotations
 
 import math
-import struct
+from array import array
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -104,18 +104,18 @@ def emit_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
 
     Cells read as `format_float` prints them, and a non-finite one raises its
     ValueError. A row whose width differs from the header's raises TypeError.
-    A short float first column, as a profile's z, is formatted once per column.
+    A short first column, as a profile's z, is formatted once per column.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\n"
     rows = list(rows)
-    tuples = len(header) and {*map(type, rows)} == {tuple} and {*map(len, rows)} == {len(header)}
-    first = [row[0] for row in rows] if tuples else []
-    if {*map(type, first)} == {float} and len(first) <= _MEMO_CELLS:
-        rest = line[5:]  # the cells after the first "%.17g", each with its comma
-        texts = _texts_of_bits(struct.pack(f"{len(first)}d", *first))
-        body = "".join([text + rest % row[1:] for text, row in zip(texts, rows)])
+    if {*map(len, rows)} - {len(header)}:
+        raise TypeError(f"every CSV row must have the header's {len(header)} cells")
+    first = [row[0] for row in rows]
+    if len(first) <= _MEMO_CELLS:
+        texts = _texts_of_bits(array("d", first).tobytes())  # raises what "%.17g" % cell would
     else:
-        body = "".join([line % tuple(row) for row in rows])
+        texts = map("%.17g".__mod__, first)
+    rest = ",%.17g" * (len(header) - 1) + "\n"  # the cells after the first, each with its comma
+    body = "".join([text + rest % tuple(row)[1:] for text, row in zip(texts, rows)])
     if "n" in body:  # a finite %.17g cell has no "n"; "inf", "-inf" and "nan" do
         row = body[: body.index("\n", body.index("n"))].rpartition("\n")[2]
         cell = next(text for text in row.split(",") if "n" in text)  # the float's repr
@@ -125,4 +125,4 @@ def emit_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
 
 @lru_cache(maxsize=8)
 def _texts_of_bits(bits: bytes) -> tuple[str, ...]:  # the `%.17g` texts of packed doubles
-    return tuple(map("%.17g".__mod__, struct.unpack(f"{len(bits) // 8}d", bits)))
+    return tuple(map("%.17g".__mod__, array("d", bits)))

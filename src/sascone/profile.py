@@ -75,12 +75,14 @@ against adaptive numerical quadrature in the test suite only.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, repeat
+from numbers import Real
 from typing import NamedTuple, Sequence
 
-from .core import JoinParams, ReebRay, _require_int
+from .core import JoinParams, ReebRay, _require_int, _Validated
 from .errors import BracketFailureError, InvalidParameterError
 from .quotient import QuotientData, quotient_data, ricci_box_holds
 
@@ -96,43 +98,40 @@ _K_CAP = 2.0**1023  # the bracket's bound, the largest power of two a double hol
 _TOL_REL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class ProfileParams:
+class ProfileParams(_Validated, namedtuple("ProfileParams", "m1 m2 d_n r n fano_index")):
     """Inputs of the profile construction.
 
     `m1`, `m2` are the ramification indices, `d_n` the exponent of the
     weight polynomial (the base's complex dimension; 0 is admitted as a
     synthetic test case), `n` the twist of the quotient, `fano_index`
     the base's positive c1 coefficient, and `r` the admissible-class
-    parameter with 0 < |r| < 1 and r*n > 0.
+    parameter, a real number kept as a float, with 0 < |r| < 1, r*n > 0.
     """
 
-    m1: int
-    m2: int
-    d_n: int
-    r: float
-    n: int
-    fano_index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("m1", "m2"):
+    def __new__(cls, m1: int, m2: int, d_n: int, r: float, n: int, fano_index: int) -> ProfileParams:
+        for name, value in (("m1", m1), ("m2", m2)):
             try:  # the kernel takes 1/m1 and 1/m2 in double precision
-                float(_require_int(getattr(self, name), name))
+                float(_require_int(value, name))
             except OverflowError:
                 raise InvalidParameterError(f"{name} lies beyond the double range that 1/{name} needs") from None
-        _require_int(self.fano_index, "fano_index")
-        _require_int(self.d_n, "d_n", 0)
-        if _require_int(self.n, "n", None) == 0:
+        _require_int(fano_index, "fano_index")
+        _require_int(d_n, "d_n", 0)
+        if _require_int(n, "n", None) == 0:
             raise InvalidParameterError("n must be a nonzero int, got 0")
         try:  # the sampler's constant term of ricci_h is fano_index / n in double precision
-            self.fano_index / self.n
+            fano_index / n
         except OverflowError:
             raise InvalidParameterError("fano_index/n lies beyond the double range that ricci_h needs") from None
-        object.__setattr__(self, "r", float(self.r))
-        if not 0.0 < abs(self.r) < 1.0:
-            raise InvalidParameterError(f"r must satisfy 0 < |r| < 1, got {self.r}")
-        if (self.r > 0) != (self.n > 0):  # a product would overflow a float for huge n
-            raise InvalidParameterError(f"r and n must have the same sign, got r={self.r}, n={self.n}")
+        if not isinstance(r, Real):
+            raise InvalidParameterError(f"r must be a real number, got {type(r).__name__}")
+        r = float(r)
+        if not 0.0 < abs(r) < 1.0:
+            raise InvalidParameterError(f"r must satisfy 0 < |r| < 1, got {r}")
+        if (r > 0) != (n > 0):  # a product would overflow a float for huge n
+            raise InvalidParameterError(f"r and n must have the same sign, got r={r}, n={n}")
+        return tuple.__new__(cls, (m1, m2, d_n, r, n, fano_index))
 
 
 class ProfileSample(NamedTuple):
@@ -143,8 +142,7 @@ class ProfileSample(NamedTuple):
     ricci_v: float
 
 
-@dataclass(frozen=True, slots=True)
-class SolveDiagnostics:
+class SolveDiagnostics(NamedTuple):
     k: float
     residual: float
     tolerance: float
@@ -277,11 +275,12 @@ def _vanish_at_minus_one(poly: list[float]) -> list[float]:
 
 
 class _Kernel:
-    """Polynomial data of g(t, k) * p(t) for fixed (m1, m2, r, d_n)."""
+    """Polynomial data of g(t, k) * p(t) for fixed `params`, and the closed form's bound on sum |Q_j|."""
 
-    __slots__ = ("alpha", "beta", "coeffs", "m0", "q_steps", "q_total")
+    __slots__ = ("alpha", "beta", "bound", "coeffs", "m0", "params", "q_steps", "q_total")
 
     def __init__(self, params: ProfileParams) -> None:
+        self.params = params
         self.alpha = 1.0 / params.m1
         self.beta = 1.0 / params.m2
         r = params.r
@@ -289,6 +288,7 @@ class _Kernel:
         # ascending coefficients of M_0(z), the integral of p from -1 to z
         self.m0 = _vanish_at_minus_one([0.0] + [c / e for e, c in enumerate(self.coeffs, 1)])
         self.q_total = _horner(self.m0, 1.0)
+        self.bound = _CONDITION_BOUND * (self.alpha + self.beta) * self.q_total
         # the steps (e + 1, p_e) of Q's recursion, top power first
         self.q_steps = tuple((float(e + 1), self.coeffs[e]) for e in range(params.d_n, -1, -1))
 
@@ -308,7 +308,7 @@ class _Kernel:
             q_lo = nxt - q_lo
             q_hi += nxt
         q.reverse()
-        if not sum(map(abs, q)) <= _CONDITION_BOUND * (a + b) * self.q_total:
+        if not sum(map(abs, q)) <= self.bound:
             return None
         u_lo = math.exp(k - abs(k))  # u(-1)
         m0_weight = -lead * (a * u_lo + b * math.exp(-k - abs(k)))
@@ -332,14 +332,15 @@ class _Root:
     is empty in the series form. This constructor and `_Kernel.closed_form`
     are the only places that write F's closed form and its series; `kind`
     names the form that ran: "closed" when its cancellation stays within
-    _CONDITION_BOUND, "series" otherwise.
+    _CONDITION_BOUND, "series" otherwise. `sample` reads `kern`'s params.
     """
 
-    __slots__ = ("k", "kind", "q", "r")
+    __slots__ = ("k", "kern", "kind", "q", "r")
 
     def __init__(self, kern: _Kernel, k: float) -> None:
         a, b = kern.alpha, kern.beta
         ab = a + b
+        self.kern = kern
         self.k = k
         if (closed := kern.closed_form(k)) is not None:
             self.kind = "closed"
@@ -380,7 +381,7 @@ class _Root:
             fz += math.exp(-self.k * z - abs(self.k)) * _horner(self.q, z)
         return fz
 
-    def sample(self, grid_size: int, params: ProfileParams) -> tuple[tuple[tuple[float, ...], ...], float]:
+    def sample(self, grid_size: int) -> tuple[tuple[tuple[float, ...], ...], float]:
         """The `ProfileSample` columns on the uniform grid of [-1, 1], and max dg/dt.
 
         Each point costs u = exp(-k*z - |k|) and Horner sums of Q and R. As in
@@ -396,8 +397,8 @@ class _Root:
         column is one pass; z < 0 (e = -1) on the first grid_size // 2 points.
         As dg_u < 0 and rounding is monotone, max dg/dt is dg_u * min(u).
         """
-        k = self.k
-        a, b = 1.0 / params.m1, 1.0 / params.m2
+        k, kern = self.k, self.kern
+        a, b, params = kern.alpha, kern.beta, kern.params
         ab = a + b
         zs = _grid(grid_size)
         nk, ak, exp = -k, abs(k), math.exp
@@ -447,10 +448,8 @@ def _solve_k(kern: _Kernel) -> SolveDiagnostics:
     k, fk = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     if not abs(fk) <= tol:
         raise BracketFailureError(f"the best root k = {k} has |f| = {abs(fk)} > {tol}")
-    return SolveDiagnostics(
-        k=k, residual=abs(fk), tolerance=tol,
-        bracket_lo=bracket[0], bracket_hi=bracket[1], iterations=it,
-    )
+    return SolveDiagnostics(k=k, residual=abs(fk), tolerance=tol,
+                            bracket_lo=bracket[0], bracket_hi=bracket[1], iterations=it)
 
 
 def solve_k(params: ProfileParams) -> float:
@@ -479,7 +478,7 @@ def build_profile(params: ProfileParams, grid_size: int = DEFAULT_GRID) -> Metri
     """
     if _require_int(grid_size, "grid_size", 3) > _GRID_MAX:
         raise InvalidParameterError(f"grid_size must be at most {_GRID_MAX}, got {grid_size}")
-    m1, m2, r, d_n, n, fano = params.m1, params.m2, params.r, params.d_n, params.n, params.fano_index
+    m1, m2, d_n, r, n, fano = params
     try:
         kern = _Kernel(params)
         p_lo, p_hi = (1.0 - r) ** d_n, (1.0 + r) ** d_n
@@ -487,7 +486,7 @@ def build_profile(params: ProfileParams, grid_size: int = DEFAULT_GRID) -> Metri
             raise ZeroDivisionError  # Theta = F/p divides by this p = 0 for every k
         diag = _solve_k(kern)
         root = _Root(kern, diag.k)
-        columns, max_g_dt = root.sample(grid_size, params)
+        columns, max_g_dt = root.sample(grid_size)
         _, fs, thetas, _, _ = columns
         representable = all(map(math.isfinite, thetas))
     except (OverflowError, ZeroDivisionError):  # a binomial coefficient of p, or p itself
@@ -498,7 +497,7 @@ def build_profile(params: ProfileParams, grid_size: int = DEFAULT_GRID) -> Metri
     # dg/dt = -(a+b) * k*lead * exp(-k*z - |k|) is negative wherever its
     # log is finite, even where the product underflows; the exponent is
     # affine in z, so its extremes are at the endpoints.
-    log_dg = math.log((1.0 / m1 + 1.0 / m2) * _k_lead(k))
+    log_dg = math.log((kern.alpha + kern.beta) * _k_lead(k))
     report = VerificationReport(
         grid_size=grid_size,
         root=diag,

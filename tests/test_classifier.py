@@ -223,11 +223,11 @@ class TestRangePredicateCoherence:
     def test_w_ray_always_positive_when_fano(self, join):
         rng = positivity_range(join)
         assert rng.kind is not RangeKind.EMPTY
-        assert rng.contains(join.w_ratio)
+        assert rng.contains(Fraction(join.w1, join.w2))
         if rng.kind in (RangeKind.HALF_LINE, RangeKind.INTERVAL):
-            assert rng.lower < join.w_ratio
+            assert rng.lower < Fraction(join.w1, join.w2)
         if rng.kind is RangeKind.INTERVAL:
-            assert join.w_ratio < rng.upper
+            assert Fraction(join.w1, join.w2) < rng.upper
 
     def test_lower_bound_strictly_decreasing_in_l2(self):
         # formula-level monotonicity, raw evaluation across every l2

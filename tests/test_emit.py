@@ -230,18 +230,26 @@ def test_csv_memo_hit_still_names_a_non_finite_first_cell(bad):
 
 
 @pytest.mark.parametrize("first, text", [(3, "3"), (True, "1"), (10**400, None)])
-def test_csv_first_cells_that_are_not_floats_skip_the_memo(first, text):
+def test_csv_first_cells_that_are_not_floats_keep_their_text(first, text):
     # an all-int column, and a float column with one int cell
     for rows, expected in (([(first, 0.5), (first, 1.5)], f"a,b\n{text},0.5\n{text},1.5\n"),
                            ([(2.5, 0.5), (first, 1.5)], f"a,b\n2.5,0.5\n{text},1.5\n")):
-        before = _texts_of_bits.cache_info()
         for _ in range(2):
             if text is None:
                 with pytest.raises(OverflowError, match="int too large to convert to float"):
                     emit_csv(("a", "b"), rows)
             else:
                 assert emit_csv(("a", "b"), rows) == expected
-        assert _texts_of_bits.cache_info() == before
+
+
+@pytest.mark.parametrize("first", ["0.5", None, 0.5j])
+def test_csv_first_cells_that_are_not_real_raise_what_percent_g_raises(first):
+    with pytest.raises(TypeError) as expected:
+        "%.17g" % first
+    for rows in ([(first, 0.5)], [(2.5, 0.5), (first, 1.5)]):
+        with pytest.raises(TypeError) as raised:
+            emit_csv(("a", "b"), rows)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_csv_memo_stays_at_its_bound():

@@ -1,10 +1,12 @@
-"""Error paths of the exact-layer constructors, as a table of literals.
+"""Error paths of the exact-layer constructors and `ProfileParams`, as a table of literals.
 
 Each row is a bad input, the exception type and the exact message that
 the constructors raised before their integer checks took an inline fast
 path. The fast path must not change which check fails first: in
 `validate_join` the weights are checked before l1 and l2, so
-`validate_join(0, 1, 0, 1, cp1)` names w1, not l1.
+`validate_join(0, 1, 0, 1, cp1)` names w1, not l1. The `ProfileParams`
+rows are those it raised as a frozen dataclass, except the rows of an `r`
+that is not a real number, which used to leak `float()`'s bare errors.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from sascone import (
     JoinParams,
     NotCoprimeError,
     PositivityRange,
+    ProfileParams,
     RangeKind,
     ReebRay,
     SmoothnessViolationError,
@@ -30,6 +33,7 @@ CALLS = {
     "ReebRay": ReebRay,
     "ReebRay.reduced": ReebRay.reduced,
     "positivity_range_raw": positivity_range_raw,
+    "ProfileParams": ProfileParams,
 }
 
 # A bool, float, str, None, 0 and -1 in each position, then coprimality,
@@ -157,6 +161,48 @@ BAD_INPUTS = [
     ('positivity_range_raw', (1, 1, 1, 2, 2), InvalidParameterError, 'weights must satisfy w1 >= w2, got (1, 2)'),
     ('positivity_range_raw', (1, 1, 2, 3, 5), InvalidParameterError, 'weights must satisfy w1 >= w2, got (2, 3)'),
     ('positivity_range_raw', (1, 1, 1, 2, '2'), InvalidParameterError, 'weights must satisfy w1 >= w2, got (1, 2)'),
+    # ProfileParams: a bool, str, None and float in each int field, range, overflow and order
+    # failures, then r out of range and r not a real number
+    ('ProfileParams', (True, 2, 2, 0.5, 4, 2), InvalidParameterError, 'm1 must be an int, got bool'),
+    ('ProfileParams', ('2', 2, 2, 0.5, 4, 2), InvalidParameterError, 'm1 must be an int, got str'),
+    ('ProfileParams', (None, 2, 2, 0.5, 4, 2), InvalidParameterError, 'm1 must be an int, got NoneType'),
+    ('ProfileParams', (1.5, 2, 2, 0.5, 4, 2), InvalidParameterError, 'm1 must be an int, got float'),
+    ('ProfileParams', (3, True, 2, 0.5, 4, 2), InvalidParameterError, 'm2 must be an int, got bool'),
+    ('ProfileParams', (3, '2', 2, 0.5, 4, 2), InvalidParameterError, 'm2 must be an int, got str'),
+    ('ProfileParams', (3, None, 2, 0.5, 4, 2), InvalidParameterError, 'm2 must be an int, got NoneType'),
+    ('ProfileParams', (3, 1.5, 2, 0.5, 4, 2), InvalidParameterError, 'm2 must be an int, got float'),
+    ('ProfileParams', (3, 2, True, 0.5, 4, 2), InvalidParameterError, 'd_n must be an int, got bool'),
+    ('ProfileParams', (3, 2, '2', 0.5, 4, 2), InvalidParameterError, 'd_n must be an int, got str'),
+    ('ProfileParams', (3, 2, None, 0.5, 4, 2), InvalidParameterError, 'd_n must be an int, got NoneType'),
+    ('ProfileParams', (3, 2, 1.5, 0.5, 4, 2), InvalidParameterError, 'd_n must be an int, got float'),
+    ('ProfileParams', (3, 2, 2, 0.5, True, 2), InvalidParameterError, 'n must be an int, got bool'),
+    ('ProfileParams', (3, 2, 2, 0.5, '2', 2), InvalidParameterError, 'n must be an int, got str'),
+    ('ProfileParams', (3, 2, 2, 0.5, None, 2), InvalidParameterError, 'n must be an int, got NoneType'),
+    ('ProfileParams', (3, 2, 2, 0.5, 1.5, 2), InvalidParameterError, 'n must be an int, got float'),
+    ('ProfileParams', (3, 2, 2, 0.5, 4, True), InvalidParameterError, 'fano_index must be an int, got bool'),
+    ('ProfileParams', (3, 2, 2, 0.5, 4, '2'), InvalidParameterError, 'fano_index must be an int, got str'),
+    ('ProfileParams', (3, 2, 2, 0.5, 4, None), InvalidParameterError, 'fano_index must be an int, got NoneType'),
+    ('ProfileParams', (3, 2, 2, 0.5, 4, 1.5), InvalidParameterError, 'fano_index must be an int, got float'),
+    ('ProfileParams', (0, 2, 2, 0.5, 4, 2), InvalidParameterError, 'm1 must be an int >= 1, got 0'),
+    ('ProfileParams', (3, 2, -1, 0.5, 4, 2), InvalidParameterError, 'd_n must be an int >= 0, got -1'),
+    ('ProfileParams', (3, 2, 2, 0.5, 4, 0), InvalidParameterError, 'fano_index must be an int >= 1, got 0'),
+    ('ProfileParams', (3, 2, 0, 0.5, 0, 2), InvalidParameterError, 'n must be a nonzero int, got 0'),
+    ('ProfileParams', (10**400, 2, 2, 0.5, 4, 2), InvalidParameterError, 'm1 lies beyond the double range that 1/m1 needs'),
+    ('ProfileParams', (3, 2, 2, 'x', 10**400, 10**800), InvalidParameterError, 'fano_index/n lies beyond the double range that ricci_h needs'),
+    ('ProfileParams', (True, '2', 2, 0.5, 4, 2), InvalidParameterError, 'm1 must be an int, got bool'),
+    ('ProfileParams', (3, 2, None, 'x', 4, None), InvalidParameterError, 'fano_index must be an int, got NoneType'),
+    ('ProfileParams', (3, 2, -1, None, 0, 2), InvalidParameterError, 'd_n must be an int >= 0, got -1'),
+    ('ProfileParams', (3, 2, 2, None, 0, 2), InvalidParameterError, 'n must be a nonzero int, got 0'),
+    ('ProfileParams', (3, 2, 2, True, 4, 2), InvalidParameterError, 'r must satisfy 0 < |r| < 1, got 1.0'),
+    ('ProfileParams', (3, 2, 2, False, 4, 2), InvalidParameterError, 'r must satisfy 0 < |r| < 1, got 0.0'),
+    ('ProfileParams', (3, 2, 2, 1.0, 4, 2), InvalidParameterError, 'r must satisfy 0 < |r| < 1, got 1.0'),
+    ('ProfileParams', (3, 2, 2, float('nan'), 4, 2), InvalidParameterError, 'r must satisfy 0 < |r| < 1, got nan'),
+    ('ProfileParams', (3, 2, 2, -0.5, 4, 2), InvalidParameterError, 'r and n must have the same sign, got r=-0.5, n=4'),
+    ('ProfileParams', (3, 2, 2, '0.5', 4, 2), InvalidParameterError, 'r must be a real number, got str'),
+    ('ProfileParams', (3, 2, 2, 'x', 4, 2), InvalidParameterError, 'r must be a real number, got str'),
+    ('ProfileParams', (3, 2, 2, None, 4, 2), InvalidParameterError, 'r must be a real number, got NoneType'),
+    ('ProfileParams', (3, 2, 2, 0.5+0j, 4, 2), InvalidParameterError, 'r must be a real number, got complex'),
+    ('ProfileParams', (3, 2, 2, [0.5], 4, 2), InvalidParameterError, 'r must be a real number, got list'),
 ]
 
 

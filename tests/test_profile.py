@@ -319,7 +319,7 @@ class TestSampler:
         root = _Root(_Kernel(params), k)
         assert root.kind == self.KINDS[abs(k)]
         grid = 101
-        columns, max_g_dt = root.sample(grid, params)
+        columns, max_g_dt = root.sample(grid)
         samples = list(map(ProfileSample._make, zip(*columns)))
         assert [s.z for s in samples] == [(2.0 * i) / (grid - 1) - 1.0 for i in range(grid)]
         for s in samples:
@@ -341,7 +341,7 @@ class TestSampler:
         params = ProfileParams(m1=3, m2=2, d_n=d_n, r=-0.6, n=-4, fano_index=2)
         root = _Root(_Kernel(params), k)
         for grid in (3, 4, 101):
-            (zs, fs, *_), max_g_dt = root.sample(grid, params)
+            (zs, fs, *_), max_g_dt = root.sample(grid)
             assert [f.hex() for f in fs] == [root.big_f(z).hex() for z in zs]
             assert max_g_dt == max(g_dt(z, k, params.m1, params.m2) for z in zs)
 
@@ -428,8 +428,8 @@ class TestColumns:
     def test_horizontal_verdict_ignores_the_sampled_column(self, params, column, monkeypatch):
         sample = _Root.sample
 
-        def inject(root, grid_size, params):
-            (zs, fs, thetas, _, ricci_v), dgs = sample(root, grid_size, params)
+        def inject(root, grid_size):
+            (zs, fs, thetas, _, ricci_v), dgs = sample(root, grid_size)
             return (zs, fs, thetas, tuple(column), ricci_v), dgs
 
         monkeypatch.setattr(_Root, "sample", inject)

@@ -1,9 +1,9 @@
-"""Value semantics of the exact-layer records.
+"""Value semantics of the exact-layer records and of `ProfileParams`.
 
 They are NamedTuples. The validating ones (BaseManifold, JoinParams,
-ReebRay, PositivityRange) run their checks in `__new__`, so `_make`,
-`_replace`, pickling and copying cannot build an invalid value. The
-records the library derives itself (`positivity_range`,
+ReebRay, PositivityRange, ProfileParams) run their checks in `__new__`,
+so `_make`, `_replace`, pickling and copying cannot build an invalid
+value. The records the library derives itself (`positivity_range`,
 `positivity_range_raw`, `quotient_data`) skip the constructor; the
 tests at the end rebuild them through it, over the acceptance corpus.
 """
@@ -23,6 +23,7 @@ from sascone import (
     JoinParams,
     NotCoprimeError,
     PositivityRange,
+    ProfileParams,
     QuotientData,
     RangeKind,
     ReebRay,
@@ -42,6 +43,7 @@ from conftest import CP1
 
 JOIN = validate_join(4, 1, 1, 1, CP1)
 RAY = ReebRay(3, 2)
+PARAMS = ProfileParams(3, 2, 2, 0.5, 4, 2)
 
 VALUES = {
     "BaseManifold": CP1,
@@ -51,6 +53,7 @@ VALUES = {
     "WholeConeReport": whole_cone_rules(JOIN),
     "OrbChernReport": orb_c1_report(JOIN, RAY),
     "BouquetLabel": bouquet_label(JOIN),
+    "ProfileParams": PARAMS,
 }
 
 
@@ -70,6 +73,11 @@ VALUES = {
         (lambda: JoinParams._make([CP1, 2, 2, 3, 1]), NotCoprimeError),
         (lambda: BaseManifold._make([1, True]), InvalidParameterError),
         (lambda: PositivityRange._make([RangeKind.HALF_LINE, None]), InvalidParameterError),
+        (lambda: PARAMS._replace(r=1.5), InvalidParameterError),
+        (lambda: PARAMS._replace(m1=0), InvalidParameterError),
+        (lambda: PARAMS._replace(n=0), InvalidParameterError),
+        (lambda: PARAMS._replace(r=-0.5), InvalidParameterError),
+        (lambda: ProfileParams._make([3, 2, 2, "0.5", 4, 2]), InvalidParameterError),
     ],
 )
 def test_replace_and_make_revalidate(build, error):
@@ -88,6 +96,17 @@ def test_valid_replace_and_make_keep_the_type():
     assert interval.contains(Fraction(5, 2)) and not half.contains(Fraction(2))
     with pytest.raises(ValueError):  # an unknown field name, as for any namedtuple
         RAY._replace(v3=1)
+    assert PARAMS._replace(r=Fraction(-1, 4), n=-4) == ProfileParams(3, 2, 2, -0.25, -4, 2)
+    assert type(ProfileParams._make(PARAMS)) is ProfileParams
+
+
+def test_profile_params_are_a_tuple_with_a_float_r():
+    # a semantic change from the frozen dataclass it was: equal to the plain tuple of its fields
+    assert PARAMS == (3, 2, 2, 0.5, 4, 2) and tuple(PARAMS) == (3, 2, 2, 0.5, 4, 2)
+    assert repr(PARAMS) == "ProfileParams(m1=3, m2=2, d_n=2, r=0.5, n=4, fano_index=2)"
+    for r in (Fraction(1, 2), 0.5):
+        params = ProfileParams(m1=3, m2=2, d_n=2, r=r, n=4, fano_index=2)
+        assert params == PARAMS and type(params.r) is float
 
 
 @pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
