@@ -62,14 +62,15 @@ _CONDITION_BOUND * (a+b) * int(p), the scale of F, and the series runs
 otherwise. The root solver sums f(k) = F(1; k) in the same form, bit for
 bit, with no R built, and bisects until its bracket holds no double
 between the ends; the tolerance only decides failure. Q and R are built
-once at the root k*, and sampling makes one pass over the grid (built
-once per size) per column and per two Horner steps, at one exponential
-a point (two in the series form); g and dg/dt are affine in it. dg/dt is not stored: the
-report's max_g_dt is its exact value at the smallest exponential. The
-certificate scans the F and Theta columns that `MetricProfile` stores;
-its `samples` are rows built on every read. Everything is pure and
-reentrant. Exact quadrature of these closed forms is cross-checked
-against adaptive numerical quadrature in the test suite only.
+once at the root k*. Sampling takes one exponential a point (two in the
+series form), in which g and dg/dt are affine, and one pass over the grid
+(built once per size) per two Horner steps, R's last adding u*Q, and per
+column but z, F, and Theta at d_n = 0. dg/dt is not stored: the report's
+max_g_dt is its exact value at the smallest exponential. The certificate
+scans the F and Theta columns that `MetricProfile` stores, Theta by its
+sum unless that overflows; its `samples` are rows built on every read.
+Everything is pure and reentrant. Exact quadrature of these closed forms
+is cross-checked against adaptive numerical quadrature in the test suite only.
 """
 
 from __future__ import annotations
@@ -249,16 +250,27 @@ def _horner(coeffs: Sequence[float], z: float) -> float:
     return acc
 
 
-def _horner_grid(coeffs: Sequence[float], zs: Sequence[float]) -> list[float]:
-    """`_horner` at each point of `zs`, two of its steps, (x*z + hi)*z + lo, per pass."""
-    desc = iter(coeffs[::-1])
-    acc = [next(desc)] * len(zs)
-    if len(coeffs) % 2 == 0:
-        hi = next(desc)
-        acc = [x * z + hi for x, z in zip(acc, zs)]
-    for hi, lo in zip(desc, desc):
-        acc = [(x * z + hi) * z + lo for x, z in zip(acc, zs)]
-    return acc
+def _horner_grid(coeffs: Sequence[float], zs: Sequence[float], us: Sequence[float] = (),
+                 qs: Sequence[float] = ()) -> list[float]:
+    """`_horner` at each point of `zs`, in list passes of two steps, (x*z + hi)*z + lo, after a lone odd one.
+
+    The first pass reads the top coefficient as a constant (as a list when it is two steps adding u*q).
+    Given `us` and `qs`, and two or more `coeffs`, the last pass adds u*q at their matching points."""
+    x, *desc = coeffs[::-1]
+    acc = None
+    if len(desc) % 2:
+        hi = desc.pop(0)
+        acc = [x * z + hi + u * q for z, u, q in zip(zs, us, qs)] if us and not desc else [x * z + hi for z in zs]
+    pairs = list(zip(desc[::2], desc[1::2]))
+    last = pairs.pop() if us and pairs else None
+    for hi, lo in pairs:
+        acc = ([(x * z + hi) * z + lo for z in zs] if acc is None
+               else [(a * z + hi) * z + lo for a, z in zip(acc, zs)])
+    acc = [x] * len(zs) if acc is None else acc
+    if last is None:
+        return acc
+    hi, lo = last
+    return [(a * z + hi) * z + lo + u * q for a, z, u, q in zip(acc, zs, us, qs)]
 
 
 @lru_cache(maxsize=4)  # at most four grids kept, 32 MB each at _GRID_MAX
@@ -390,12 +402,13 @@ class _Root:
             g(z)     = g(e) + g_w * (w(z) - w(e))    e = -1 or 1, nearer to z
             dg/dt(z) = dg_u * u(z)                   dg_u = -(a+b) * k * lead
 
-        with g(-1) = 2/m2, g(1) = -2/m1 (kept exact) and g_w = (a+b) * lead.
-        w enters only through differences, so the closed form, which runs
-        only where lead is moderate, uses u; the series uses expm1 for the
-        digits of small |k|; k = 0 takes the limit w = z, g_w = -(a+b). Each
-        column is one pass; z < 0 (e = -1) on the first grid_size // 2 points.
-        As dg_u < 0 and rounding is monotone, max dg/dt is dg_u * min(u).
+        with g(-1) = 2/m2, g(1) = -2/m1 (kept exact) and g_w = (a+b) * lead. w enters only
+        through differences, so the closed form, which runs only where lead is moderate, uses
+        u; the series uses expm1 for the digits of small |k|; k = 0 takes the limit w = z,
+        g_w = -(a+b). F is `_horner_grid` of R plus u*Q. Theta = F/p is F at d_n = 0 and
+        F/(1 + r*z) at d_n = 1, the bits of `**` (x**0 is 1.0; pow, within 0.52 ulp, returns x
+        for x**1), else one pass like each other column; z < 0 (e = -1) on the first
+        grid_size // 2 points. As dg_u < 0 and rounding is monotone, max dg/dt is dg_u * min(u).
         """
         k, kern = self.k, self.kern
         a, b, params = kern.alpha, kern.beta, kern.params
@@ -406,10 +419,8 @@ class _Root:
         ws = (us if self.q else [math.expm1(nk * z - ak) for z in zs]) if k else zs
         g_w = ab * _lead(k) if k else -ab
         w_lo, w_hi = ws[0], ws[-1]
-        fs = _horner_grid(self.r, zs)
-        if self.q:
-            fs = [f + u * q for f, u, q in zip(fs, us, _horner_grid(self.q, zs))]
-        r, d_n = params.r, params.d_n
+        fs = _horner_grid(self.r, zs, us, _horner_grid(self.q, zs)) if self.q else _horner_grid(self.r, zs)
+        r, d_n = params.r, float(params.d_n)
         g_lo, g_hi = 2.0 * b, -2.0 * a
         h0 = params.fano_index / params.n
         dg_u = -ab * _k_lead(k)
@@ -417,7 +428,8 @@ class _Root:
         return tuple(map(tuple, (
             zs,
             fs,
-            [f / (1.0 + r * z) ** d_n for z, f in zip(zs, fs)],
+            [f / (1.0 + r * z) ** d_n for z, f in zip(zs, fs)] if d_n > 1.0
+            else [f / (1.0 + r * z) for z, f in zip(zs, fs)] if d_n else fs,
             [h0 - 0.5 * (g_lo + g_w * (w - w_lo)) for w in ws[:half]]
             + [h0 - 0.5 * (g_hi + g_w * (w - w_hi)) for w in ws[half:]],
             [-0.5 * (dg_u * u) for u in us],
@@ -488,7 +500,7 @@ def build_profile(params: ProfileParams, grid_size: int = DEFAULT_GRID) -> Metri
         root = _Root(kern, diag.k)
         columns, max_g_dt = root.sample(grid_size)
         _, fs, thetas, _, _ = columns
-        representable = all(map(math.isfinite, thetas))
+        representable = math.isfinite(sum(thetas)) or all(map(math.isfinite, thetas))
     except (OverflowError, ZeroDivisionError):  # a binomial coefficient of p, or p itself
         representable = False
     if not representable:

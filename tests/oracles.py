@@ -98,3 +98,47 @@ def F_exact(z: float, k: float, m1: int, m2: int, r: float, d_n: int) -> float:
         e_z = -mpmath.exp(-kk * zz) * big_s(zz) + mpmath.exp(kk) * big_s(mpmath.mpf(-1))
         m0_weight = a * mpmath.exp(kk) + b * mpmath.exp(-kk)
         return float(((a + b) * e_z - m0_weight * moment(0)) / mpmath.sinh(kk))
+
+
+def horner_grid(coeffs: list[float], zs: list[float]) -> list[float]:
+    """Horner's rule at each point of `zs`, two steps per list pass after an odd lone one."""
+    desc = iter(coeffs[::-1])
+    acc = [next(desc)] * len(zs)
+    if len(coeffs) % 2 == 0:
+        hi = next(desc)
+        acc = [x * z + hi for x, z in zip(acc, zs)]
+    for hi, lo in zip(desc, desc):
+        acc = [(x * z + hi) * z + lo for x, z in zip(acc, zs)]
+    return acc
+
+
+def sample_columns(root, grid_size: int) -> tuple[tuple[tuple[float, ...], ...], float]:
+    """The columns and max dg/dt of `root.sample(grid_size)`, one list pass per formula.
+
+    This is the sampler written column by column: F = R + u*Q, Theta = F / p
+    with p computed by `**`, and the two affine forms of ricci_h and ricci_v.
+    Any rewrite of the sampler must reproduce it bit for bit.
+    """
+    k, kern = root.k, root.kern
+    a, b, params = kern.alpha, kern.beta, kern.params
+    ab = a + b
+    two_k = -math.expm1(-2.0 * abs(k))
+    lead, k_lead = (math.copysign(2.0 / two_k, k), 2.0 * abs(k) / two_k) if k else (None, 1.0)
+    zs = [i / (grid_size - 1) - 1.0 for i in range(0, 2 * grid_size - 1, 2)]
+    us = [math.exp(-k * z - abs(k)) for z in zs]
+    ws = (us if root.q else [math.expm1(-k * z - abs(k)) for z in zs]) if k else zs
+    g_w = ab * lead if k else -ab
+    fs = horner_grid(root.r, zs)
+    if root.q:
+        fs = [f + u * q for f, u, q in zip(fs, us, horner_grid(root.q, zs))]
+    h0 = params.fano_index / params.n
+    dg_u = -ab * k_lead
+    half = grid_size // 2
+    return tuple(map(tuple, (
+        zs,
+        fs,
+        [f / (1.0 + params.r * z) ** params.d_n for z, f in zip(zs, fs)],
+        [h0 - 0.5 * (2.0 * b + g_w * (w - ws[0])) for w in ws[:half]]
+        + [h0 - 0.5 * (-2.0 * a + g_w * (w - ws[-1])) for w in ws[half:]],
+        [-0.5 * (dg_u * u) for u in us],
+    ))), dg_u * min(us)

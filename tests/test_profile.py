@@ -30,7 +30,7 @@ import sascone.profile
 from sascone.emit import emit_csv
 from sascone.profile import _Kernel, _Root, _solve_k
 from conftest import CP1, CP2, GENUS2
-from oracles import F_exact, g_raw, quad_f, quad_profile_F, sign_changes
+from oracles import F_exact, g_raw, quad_f, quad_profile_F, sample_columns, sign_changes
 
 ASYM = ProfileParams(m1=3, m2=2, d_n=1, r=-0.5, n=-4, fano_index=2)
 SYM = ProfileParams(m1=1, m2=1, d_n=0, r=0.5, n=1, fano_index=1)
@@ -345,6 +345,22 @@ class TestSampler:
             assert [f.hex() for f in fs] == [root.big_f(z).hex() for z in zs]
             assert max_g_dt == max(g_dt(z, k, params.m1, params.m2) for z in zs)
 
+    @pytest.mark.parametrize("d_n", [*range(9), 40])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sample_is_the_column_oracle_bit_for_bit(self, d_n, sign):
+        # d_n and the two forms give R and Q every step count parity with zero, one and many
+        # list passes; grids 3-8 and 201 vary the list length and the split at grid // 2
+        params = ProfileParams(m1=3, m2=2, d_n=d_n, r=0.6 * sign, n=4 * sign, fano_index=2)
+        kern, kinds = _Kernel(params), set()
+        for k in (0.0, 1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0, 300.0, -300.0):
+            root = _Root(kern, k)
+            kinds.add(root.kind)
+            for grid in (*range(3, 9), 201):
+                (got, got_dg), (want, want_dg) = root.sample(grid), sample_columns(root, grid)
+                assert [list(map(float.hex, col)) for col in got] == [list(map(float.hex, col)) for col in want]
+                assert got_dg.hex() == want_dg.hex()
+        assert kinds == {"series", "closed"}
+
     def test_far_root_profile(self):
         params = ProfileParams(m1=600, m2=1, d_n=0, r=0.5, n=1, fano_index=1)
         profile = build_profile(params, grid_size=51)
@@ -437,6 +453,35 @@ class TestColumns:
         box = ricci_box_holds(params.fano_index, params.n, params.m1, params.m2)
         assert profile.report.horizontal_positive == profile.report.box_ok == box
         assert profile.columns[3] == column  # written out as sampled, NaN included
+
+    @pytest.mark.parametrize(
+        "column, finite",
+        [
+            ((1.0, math.nan, 1.0, 1.0, 1.0), False),
+            ((1.0, 1.0, 1.0, 1.0, math.inf), False),
+            ((-math.inf, 1.0, 1.0, 1.0, 1.0), False),
+            ((math.inf, -math.inf, 1.0, 1.0, 1.0), False),
+            ((1.5e308, 1.5e308, math.nan, 1.0, 1.0), False),
+            # finite cells whose sum overflows: the cell-by-cell scan decides
+            ((1.5e308, 1.5e308, 1.0, 1.0, 1.0), True),
+            ((-1.7e308, -1.7e308, 1.0, 1.7e308, 0.0), True),
+            ((sys.float_info.max,) * 5, True),
+        ],
+    )
+    def test_theta_column_is_representable_iff_every_cell_is_finite(self, column, finite, monkeypatch):
+        sample = _Root.sample
+
+        def inject(root, grid_size):
+            (zs, fs, _, ricci_h, ricci_v), dgs = sample(root, grid_size)
+            return (zs, fs, column, ricci_h, ricci_v), dgs
+
+        monkeypatch.setattr(_Root, "sample", inject)
+        if not finite:
+            with pytest.raises(InvalidParameterError, match="p or Theta = F/p leaves the double range"):
+                build_profile(ASYM, grid_size=5)
+            return
+        assert not math.isfinite(sum(column))
+        assert build_profile(ASYM, grid_size=5).columns[2] == column
 
     # at d_n = 1026, r = 0.999 the solve itself would fail: f is not finite on [-1, 1]
     @pytest.mark.parametrize("d_n, r, n", [(600, 0.9, 4), (600, -0.9, -4), (1026, 0.999, 4)])
