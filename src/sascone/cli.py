@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--dN", type=int, required=True, dest="d_n")
+    p.add_argument("--dN", "--d-n", type=int, required=True, dest="d_n")
     p.add_argument("--fano-index", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=int, default=None)
@@ -334,27 +334,14 @@ def _cmd_replay(args: argparse.Namespace) -> CommandResult:
     return CommandResult(stdout="\n".join(lines) + "\n", code=code)
 
 
-def _option_names(parser: argparse.ArgumentParser) -> dict[str, dict[str, str]]:
-    """For each subcommand, its option strings by argparse dest."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        command: {a.dest: a.option_strings[-1] for a in p._actions if a.option_strings}
-        for command, p in sub.choices.items()
-    }
-
-
-def _entry_to_argv(entry: dict, options: dict[str, dict[str, str]]) -> list[str]:
-    """argv for one config entry; keys are argparse dests or option names."""
+def _entry_to_argv(entry: dict) -> list[str]:
+    """argv for one config entry; each key becomes its option, "--" + key with "_" as "-"."""
     if not isinstance(entry, dict) or "command" not in entry:
         raise InvalidParameterError(f"config entry {entry!r} is not an object with a 'command' key")
-    command = str(entry["command"])
-    flags = options.get(command, {})
-    argv = [command]
+    argv = [str(entry["command"])]
     for key, value in entry.items():
-        if key == "command":
-            continue
-        flag = flags.get(key, "--" + str(key).replace("_", "-"))
-        argv += [flag, str(value)]
+        if key != "command":
+            argv += ["--" + str(key).replace("_", "-"), str(value)]
     return argv
 
 
@@ -371,11 +358,10 @@ def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
     entries = payload.get("commands") if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise InvalidParameterError("config must be a list of commands or {'commands': [...]}")
-    options = _option_names(parser)
     results = []
     worst = EXIT_OK
     for entry in entries:
-        argv = _entry_to_argv(entry, options)
+        argv = _entry_to_argv(entry)
         usage = io.StringIO()
         try:
             # help and version actions print to stdout, which holds only the batch's JSON

@@ -20,10 +20,10 @@ Conventions baked into the types:
 * join weights are stored sorted, w1 >= w2;
 * l1 and l2 are relatively prime, as are w1 and w2;
 * the smoothness condition gcd(l2, l1*w1*w2) = 1 is enforced;
-* Reeb rays (v1, v2) are coprime positive integers. Irregular rays are
-  handled by a user-chosen rational approximant, see `ReebRay.reduced`;
-  the classification verdict is exact away from range boundaries, and
-  the CLI can flag rays within a declared distance of a boundary.
+* Reeb rays (v1, v2) are coprime positive integers. An irregular ray is
+  passed as a coprime rational approximant; the classification verdict
+  is exact away from range boundaries, and the CLI can flag rays within
+  a declared distance of a boundary.
 """
 
 from __future__ import annotations
@@ -170,14 +170,6 @@ class ReebRay(_Validated, namedtuple("ReebRay", "v1 v2")):
         if gcd(v1, v2) != 1:
             raise NotCoprimeError("v1", v1, "v2", v2)
         return tuple.__new__(cls, (v1, v2))
-
-    @classmethod
-    def reduced(cls, v1: int, v2: int) -> "ReebRay":
-        """Canonicalize an unreduced positive pair by dividing out the gcd."""
-        _require_int(v1, "v1")
-        _require_int(v2, "v2")
-        g = gcd(v1, v2)
-        return cls(v1 // g, v2 // g)
 
     @property
     def ratio(self) -> Fraction:

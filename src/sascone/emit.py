@@ -29,14 +29,12 @@ def format_float(x: float) -> str:
 
 def to_jsonable(obj: Any) -> Any:
     """Normalize a record into plain JSON-compatible values."""
-    if type(obj) in (float, str, bool) or obj is None:  # exact types first; subclasses take the chain
+    if isinstance(obj, float) or obj is None:  # the commonest first
         return obj
-    if isinstance(obj, int):  # no bool gets here: bool has no subclasses
+    if isinstance(obj, int):  # a bool is within the int64 range, so it comes back as itself
         return obj if _INT64_MIN <= obj <= _INT64_MAX else str(obj)
     if isinstance(obj, str):
         return obj.value if isinstance(obj, Enum) else obj  # the package's enums are str enums
-    if isinstance(obj, float):
-        return obj
     if isinstance(obj, Fraction):
         return str(obj)
     # a dataclass, told without importing dataclasses, or a named tuple

@@ -9,10 +9,11 @@ order, spin, positivity thresholds). Checks are plain data so a harness
 can run tampered copies; `replay_tables` recomputes every expected value
 and reports mismatches.
 
-Two table rows quote threshold values at (l2, w) combinations that fail
-the smoothness condition of an actual join; those rows are evaluated
-through `positivity_range_raw`, which applies the same formula without
-join validation.
+Four table rows quote threshold values at (l2, w) combinations that
+fail the smoothness condition of an actual join: (1, l2, 12, 1) at
+l2 = 2, 3 and 4, and (1, 2, 4, 3). Those rows are evaluated through
+`positivity_range_raw`, which applies the same formula without join
+validation.
 """
 
 from __future__ import annotations

@@ -91,7 +91,9 @@ DEFAULT_GRID = 201
 _GRID_MAX = 10**6  # the largest grid: five columns of it take about 300 MB
 # largest sum |Q_j| / ((a+b) * int(p)) at which the closed form runs
 _CONDITION_BOUND = 512.0
-_K_CAP = 2.0**1023  # the bracket's bound, the largest power of two a double holds: 2*|k| stays finite
+# The bracket's bound, the largest power of two a double holds. 2*|k| is inf there, but
+# `_lead` stays finite, ±2.0, as expm1(-inf) is -1; `_k_lead` is inf.
+_K_CAP = 2.0**1023
 # The root's failure threshold, relative to the scale (1/m1 + 1/m2) * int(p)
 # of f. The bisection runs to adjacent doubles whatever the threshold, so it
 # only decides failure: found roots on criterion-4 draws and golden-family

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -389,6 +390,27 @@ def test_config_batch_accepts_dest_names(tmp_path):
     payload = json.loads(r.stdout)
     assert payload[0]["exit_code"] == 0
     assert json.loads(payload[0]["stderr"])["params"]["d_n"] == 1
+
+
+def test_every_option_is_reachable_by_the_config_key_rule():
+    # a --config key k becomes the option "--" + k with "_" as "-", so each option must have that spelling
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if action.option_strings:
+                assert "--" + action.dest.replace("_", "-") in action.option_strings, (command, action.dest)
+
+
+def test_d_n_spellings_give_the_same_bytes(capsys):
+    outputs = []
+    for flag in ("--dN", "--d-n"):
+        argv = ["metric", "--m1", "3", "--m2", "2", "--r", "-0.5", flag, "1", "--fano-index", "2",
+                "--n", "-4", "--grid", "21"]
+        code = cli.main(argv)
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].startswith("z,F,Theta,ricci_h,ricci_v\n")
 
 
 def test_config_entry_rejections_stay_in_output(tmp_path):

@@ -103,7 +103,7 @@ def test_base_manifold_validation():
         lambda: BaseManifold(dim_c=1, c1_coeff=False),
         lambda: BaseManifold(dim_c=1, c1_coeff=2.0),
         lambda: ReebRay(1, True),
-        lambda: ReebRay.reduced(0, 2),
+        lambda: ReebRay(0, 2),
         lambda: validate_join(1, 1, "3", 1, CP1),
     ],
 )
@@ -134,7 +134,6 @@ def test_parse_base():
 def test_reeb_ray_requires_coprime():
     with pytest.raises(NotCoprimeError):
         ReebRay(2, 4)
-    assert ReebRay.reduced(2, 4) == ReebRay(1, 2)
     assert ReebRay(3, 2).ratio == Fraction(3, 2)
 
 

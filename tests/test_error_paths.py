@@ -2,11 +2,12 @@
 
 Each row is a bad input, the exception type and the exact message that
 the constructors raised before their integer checks took an inline fast
-path. The fast path must not change which check fails first: in
-`validate_join` the weights are checked before l1 and l2, so
-`validate_join(0, 1, 0, 1, cp1)` names w1, not l1. The `ProfileParams`
-rows are those it raised as a frozen dataclass, except the rows of an `r`
-that is not a real number, which used to leak `float()`'s bare errors.
+path (`BaseManifold` and its two named constructors take none). The fast
+path must not change which check fails first: in `validate_join` the
+weights are checked before l1 and l2, so `validate_join(0, 1, 0, 1, cp1)`
+names w1, not l1. The `ProfileParams` rows are those it raised as a
+frozen dataclass, except the rows of an `r` that is not a real number,
+which used to leak `float()`'s bare errors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from sascone import (
+    BaseManifold,
     InvalidParameterError,
     JoinParams,
     NotCoprimeError,
@@ -31,7 +33,9 @@ CALLS = {
     "validate_join": lambda *args: validate_join(*args, CP1),
     "JoinParams": lambda *args: JoinParams(CP1, *args),
     "ReebRay": ReebRay,
-    "ReebRay.reduced": ReebRay.reduced,
+    "BaseManifold": BaseManifold,
+    "BaseManifold.projective_space": BaseManifold.projective_space,
+    "BaseManifold.riemann_surface": BaseManifold.riemann_surface,
     "positivity_range_raw": positivity_range_raw,
     "ProfileParams": ProfileParams,
 }
@@ -99,18 +103,18 @@ BAD_INPUTS = [
     ('ReebRay', (1, None), InvalidParameterError, 'v2 must be an int, got NoneType'),
     ('ReebRay', (1, 0), InvalidParameterError, 'v2 must be an int >= 1, got 0'),
     ('ReebRay', (1, -1), InvalidParameterError, 'v2 must be an int >= 1, got -1'),
-    ('ReebRay.reduced', (True, 1), InvalidParameterError, 'v1 must be an int, got bool'),
-    ('ReebRay.reduced', (1.5, 1), InvalidParameterError, 'v1 must be an int, got float'),
-    ('ReebRay.reduced', ('2', 1), InvalidParameterError, 'v1 must be an int, got str'),
-    ('ReebRay.reduced', (None, 1), InvalidParameterError, 'v1 must be an int, got NoneType'),
-    ('ReebRay.reduced', (0, 1), InvalidParameterError, 'v1 must be an int >= 1, got 0'),
-    ('ReebRay.reduced', (-1, 1), InvalidParameterError, 'v1 must be an int >= 1, got -1'),
-    ('ReebRay.reduced', (1, True), InvalidParameterError, 'v2 must be an int, got bool'),
-    ('ReebRay.reduced', (1, 1.5), InvalidParameterError, 'v2 must be an int, got float'),
-    ('ReebRay.reduced', (1, '2'), InvalidParameterError, 'v2 must be an int, got str'),
-    ('ReebRay.reduced', (1, None), InvalidParameterError, 'v2 must be an int, got NoneType'),
-    ('ReebRay.reduced', (1, 0), InvalidParameterError, 'v2 must be an int >= 1, got 0'),
-    ('ReebRay.reduced', (1, -1), InvalidParameterError, 'v2 must be an int >= 1, got -1'),
+    ('BaseManifold', (True, 1), InvalidParameterError, 'dim_c must be an int, got bool'),
+    ('BaseManifold', (1.5, 1), InvalidParameterError, 'dim_c must be an int, got float'),
+    ('BaseManifold', ('2', 1), InvalidParameterError, 'dim_c must be an int, got str'),
+    ('BaseManifold', (None, 1), InvalidParameterError, 'dim_c must be an int, got NoneType'),
+    ('BaseManifold', (0, 1), InvalidParameterError, 'dim_c must be an int >= 1, got 0'),
+    ('BaseManifold', (-1, 1), InvalidParameterError, 'dim_c must be an int >= 1, got -1'),
+    ('BaseManifold', (1, True), InvalidParameterError, 'c1_coeff must be an int, got bool'),
+    ('BaseManifold', (1, 1.5), InvalidParameterError, 'c1_coeff must be an int, got float'),
+    ('BaseManifold', (1, '2'), InvalidParameterError, 'c1_coeff must be an int, got str'),
+    ('BaseManifold', (1, None), InvalidParameterError, 'c1_coeff must be an int, got NoneType'),
+    ('BaseManifold.projective_space', (0,), InvalidParameterError, 'p must be an int >= 1, got 0'),
+    ('BaseManifold.riemann_surface', (-1,), InvalidParameterError, 'genus must be an int >= 0, got -1'),
     ('positivity_range_raw', (True, 1, 1, 1, 2), InvalidParameterError, 'l1 must be an int, got bool'),
     ('positivity_range_raw', (1.5, 1, 1, 1, 2), InvalidParameterError, 'l1 must be an int, got float'),
     ('positivity_range_raw', ('2', 1, 1, 1, 2), InvalidParameterError, 'l1 must be an int, got str'),
@@ -156,8 +160,8 @@ BAD_INPUTS = [
     ('ReebRay', (True, 0), InvalidParameterError, 'v1 must be an int, got bool'),
     ('ReebRay', (0, 'x'), InvalidParameterError, 'v1 must be an int >= 1, got 0'),
     ('ReebRay', (6, 9), NotCoprimeError, 'v1=6 and v2=9 must be relatively prime'),
-    ('ReebRay.reduced', (0, 0), InvalidParameterError, 'v1 must be an int >= 1, got 0'),
-    ('ReebRay.reduced', (2, False), InvalidParameterError, 'v2 must be an int, got bool'),
+    ('BaseManifold', (0, None), InvalidParameterError, 'dim_c must be an int >= 1, got 0'),
+    ('BaseManifold.projective_space', (True,), InvalidParameterError, 'p must be an int, got bool'),
     ('positivity_range_raw', (1, 1, 1, 2, 2), InvalidParameterError, 'weights must satisfy w1 >= w2, got (1, 2)'),
     ('positivity_range_raw', (1, 1, 2, 3, 5), InvalidParameterError, 'weights must satisfy w1 >= w2, got (2, 3)'),
     ('positivity_range_raw', (1, 1, 1, 2, '2'), InvalidParameterError, 'weights must satisfy w1 >= w2, got (1, 2)'),

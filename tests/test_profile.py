@@ -28,7 +28,7 @@ from sascone import (
 )
 import sascone.profile
 from sascone.emit import emit_csv
-from sascone.profile import _Kernel, _Root, _solve_k
+from sascone.profile import _K_CAP, _Kernel, _Root, _lead, _solve_k
 from conftest import CP1, CP2, GENUS2
 from oracles import F_exact, g_raw, quad_f, quad_profile_F, sample_columns, sign_changes
 
@@ -195,6 +195,10 @@ class TestSolveK:
         profile = build_profile(ProfileParams(m1=m1, m2=m2, d_n=1, r=r, n=n, fano_index=2), grid_size=5)
         assert 1e307 < abs(profile.k_root) < 2.0**1023
         assert profile.report.all_ok
+
+    def test_lead_is_finite_at_the_bracket_cap(self):
+        # 2*|k| overflows to inf at the cap, and expm1(-inf) = -1 keeps lead at its limit
+        assert (_lead(_K_CAP), _lead(-_K_CAP)) == (2.0, -2.0)
 
 
     # ((m1, m2, d_n, r), k*.hex(), bisection steps) as the bisection lands them; n and the Fano

@@ -108,15 +108,6 @@ def test_quotient_invariants(join, ray):
     assert gcd(data.m1, data.m2) == data.m
 
 
-@given(join_strategy(), ray_strategy(max_v=20))
-@settings(max_examples=200)
-def test_predicate_scale_invariance(join, ray):
-    for t in (2, 3, 7):
-        scaled = ReebRay.reduced(t * ray.v1, t * ray.v2)
-        assert scaled == ray
-        assert orb_fano_predicate(join, scaled) == orb_fano_predicate(join, ray)
-
-
 def test_walls_are_where_one_box_condition_turns_to_equality():
     # each finite bound a/b of the range, as the ray (a, b), has a quotient on
     # the boundary of the box: I_N*m2 == n on a lower bound, I_N*m1 == -n on
