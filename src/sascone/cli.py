@@ -335,12 +335,14 @@ def _cmd_replay(args: argparse.Namespace) -> CommandResult:
 
 
 def _entry_to_argv(entry: dict) -> list[str]:
-    """argv for one config entry; each key becomes its option, "--" + key with "_" as "-"."""
+    """argv for one config entry; each key becomes its option, "--" + key with "_" as "-".
+
+    A key whose value is null is left out, so its option takes its default."""
     if not isinstance(entry, dict) or "command" not in entry:
         raise InvalidParameterError(f"config entry {entry!r} is not an object with a 'command' key")
     argv = [str(entry["command"])]
     for key, value in entry.items():
-        if key != "command":
+        if key != "command" and value is not None:
             argv += ["--" + str(key).replace("_", "-"), str(value)]
     return argv
 

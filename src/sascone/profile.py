@@ -64,13 +64,17 @@ bit, with no R built, and bisects until its bracket holds no double
 between the ends; the tolerance only decides failure. Q and R are built
 once at the root k*. Sampling takes one exponential a point (two in the
 series form), in which g and dg/dt are affine, and one pass over the grid
-(built once per size) per two Horner steps, R's last adding u*Q, and per
-column but z, F, and Theta at d_n = 0. dg/dt is not stored: the report's
-max_g_dt is its exact value at the smallest exponential. The certificate
-scans the F and Theta columns that `MetricProfile` stores, Theta by its
-sum unless that overflows; its `samples` are rows built on every read.
-Everything is pure and reentrant. Exact quadrature of these closed forms
-is cross-checked against adaptive numerical quadrature in the test suite only.
+(built once per size) per column but z and Theta at d_n = 0. F's pass is a
+list comprehension generated and compiled once per pair of lengths of R
+and Q (`_horner_pass`), which takes the coefficients as arguments, writes
+out Horner's steps and adds u*Q, rebinding its accumulator in a `for`
+clause every 64 steps to stay within the parser's nesting limit. dg/dt
+is not stored: the report's max_g_dt is its exact value at the smallest
+exponential. The certificate scans the F and Theta columns that
+`MetricProfile` stores, Theta by its sum unless that overflows; its
+`samples` are rows built on every read. Everything is pure and
+reentrant. Exact quadrature of these closed forms is cross-checked
+against adaptive numerical quadrature in the test suite only.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, repeat
 from numbers import Real
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import JoinParams, ReebRay, _require_int, _Validated
 from .errors import BracketFailureError, InvalidParameterError
@@ -99,6 +103,8 @@ _K_CAP = 2.0**1023
 # only decides failure: found roots on criterion-4 draws and golden-family
 # rays leave at most 3e-3 of it.
 _TOL_REL = 1e-12
+# Horner steps per nesting of `_horner_pass`; CPython's parser takes at most 200 nested parentheses.
+_REBIND = 64
 
 
 class ProfileParams(_Validated, namedtuple("ProfileParams", "m1 m2 d_n r n fano_index")):
@@ -252,27 +258,33 @@ def _horner(coeffs: Sequence[float], z: float) -> float:
     return acc
 
 
-def _horner_grid(coeffs: Sequence[float], zs: Sequence[float], us: Sequence[float] = (),
-                 qs: Sequence[float] = ()) -> list[float]:
-    """`_horner` at each point of `zs`, in list passes of two steps, (x*z + hi)*z + lo, after a lone odd one.
+def _horner_chain(name: str, count: int, acc: str) -> tuple[str, str]:
+    """`for` clauses and expression of `_horner`'s steps over name0..name{count-1}, top read as a constant.
 
-    The first pass reads the top coefficient as a constant (as a list when it is two steps adding u*q).
-    Given `us` and `qs`, and two or more `coeffs`, the last pass adds u*q at their matching points."""
-    x, *desc = coeffs[::-1]
-    acc = None
-    if len(desc) % 2:
-        hi = desc.pop(0)
-        acc = [x * z + hi + u * q for z, u, q in zip(zs, us, qs)] if us and not desc else [x * z + hi for z in zs]
-    pairs = list(zip(desc[::2], desc[1::2]))
-    last = pairs.pop() if us and pairs else None
-    for hi, lo in pairs:
-        acc = ([(x * z + hi) * z + lo for z in zs] if acc is None
-               else [(a * z + hi) * z + lo for a, z in zip(acc, zs)])
-    acc = [x] * len(zs) if acc is None else acc
-    if last is None:
-        return acc
-    hi, lo = last
-    return [(a * z + hi) * z + lo + u * q for a, z, u, q in zip(acc, zs, us, qs)]
+    The chain is rebound to `acc` after every _REBIND steps, which CPython compiles to an assignment."""
+    clauses, expr = "", f"{name}{count - 1}"
+    for step, e in enumerate(range(count - 2, -1, -1)):
+        if step and not step % _REBIND:
+            clauses, expr = f"{clauses} for {acc} in [{expr}]", acc
+        expr = f"({expr}) * z + {name}{e}"
+    return clauses, expr
+
+
+def _horner_source(r_count: int, q_count: int) -> str:
+    """Source of `_horner_pass`: names and counts only, no coefficient value."""
+    r_for, r_expr = _horner_chain("r", r_count, "a")
+    q_for, q_expr = _horner_chain("q", q_count, "b") if q_count else ("", "")
+    args = ", ".join(["zs", "us", *(f"r{e}" for e in range(r_count)), *(f"q{e}" for e in range(q_count))])
+    body = f"{r_expr} + u * ({q_expr}) for z, u in zip(zs, us)" if q_count else f"{r_expr} for z in zs"
+    return f"lambda {args}: [{body}{r_for}{q_for}]"
+
+
+@lru_cache(maxsize=128)  # at most 128 shapes kept; 2000 criterion-4 draws make 20
+def _horner_pass(r_count: int, q_count: int) -> Callable[..., list[float]]:
+    """F = R(z) + u*Q(z) at each point of zs and us in one list pass, called as (zs, us, *R, *Q).
+
+    Keyed by shape alone: one compile serves every k, r and grid. Without Q, `us` is not read."""
+    return eval(compile(_horner_source(r_count, q_count), f"<horner pass {r_count} {q_count}>", "eval"), {})
 
 
 @lru_cache(maxsize=4)  # at most four grids kept, 32 MB each at _GRID_MAX
@@ -407,7 +419,7 @@ class _Root:
         with g(-1) = 2/m2, g(1) = -2/m1 (kept exact) and g_w = (a+b) * lead. w enters only
         through differences, so the closed form, which runs only where lead is moderate, uses
         u; the series uses expm1 for the digits of small |k|; k = 0 takes the limit w = z,
-        g_w = -(a+b). F is `_horner_grid` of R plus u*Q. Theta = F/p is F at d_n = 0 and
+        g_w = -(a+b). F is R + u*Q in one `_horner_pass`. Theta = F/p is F at d_n = 0 and
         F/(1 + r*z) at d_n = 1, the bits of `**` (x**0 is 1.0; pow, within 0.52 ulp, returns x
         for x**1), else one pass like each other column; z < 0 (e = -1) on the first
         grid_size // 2 points. As dg_u < 0 and rounding is monotone, max dg/dt is dg_u * min(u).
@@ -421,7 +433,7 @@ class _Root:
         ws = (us if self.q else [math.expm1(nk * z - ak) for z in zs]) if k else zs
         g_w = ab * _lead(k) if k else -ab
         w_lo, w_hi = ws[0], ws[-1]
-        fs = _horner_grid(self.r, zs, us, _horner_grid(self.q, zs)) if self.q else _horner_grid(self.r, zs)
+        fs = _horner_pass(len(self.r), len(self.q))(zs, us, *self.r, *self.q)
         r, d_n = params.r, float(params.d_n)
         g_lo, g_hi = 2.0 * b, -2.0 * a
         h0 = params.fano_index / params.n

@@ -392,6 +392,25 @@ def test_config_batch_accepts_dest_names(tmp_path):
     assert json.loads(payload[0]["stderr"])["params"]["d_n"] == 1
 
 
+def test_config_null_takes_the_option_default(tmp_path, capsys):
+    ray = {"l1": 1, "l2": 1, "w1": 7, "w2": 1, "v1": 6, "v2": 1}
+    absent = [{"command": "classify", **ray}, {"command": "metric-from-ray", **ray, "grid": 5}]
+    null = [{"command": "classify", **ray, "near": None}, {"command": "metric-from-ray", **ray, "r": None, "grid": 5}]
+    config = tmp_path / "batch.json"
+    outputs = []
+    for entries in (absent, null):
+        config.write_text(json.dumps(entries), encoding="utf-8")
+        outputs.append((cli.main(["--config", str(config)]), *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and [e["exit_code"] for e in json.loads(outputs[0][1])] == [0, 0]
+    # a required option given as null is missing, and argparse says so
+    entry = {"command": "metric", "m1": 3, "m2": 2, "r": None, "d_n": 1, "fano_index": 2, "n": -4, "grid": 5}
+    config.write_text(json.dumps([entry]), encoding="utf-8")
+    assert cli.main(["--config", str(config)]) == EXIT_VALIDATION
+    (result,) = json.loads(capsys.readouterr().out)
+    assert result["exit_code"] == 2 and result["stderr"].endswith("the following arguments are required: --r")
+
+
 def test_every_option_is_reachable_by_the_config_key_rule():
     # a --config key k becomes the option "--" + k with "_" as "-", so each option must have that spelling
     parser = cli.build_parser()

@@ -12,6 +12,8 @@ which used to leak `float()`'s bare errors.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from sascone import (
@@ -210,7 +212,17 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("call, args, error, message", BAD_INPUTS)
+def _row_ids(rows: list[tuple]) -> list[str]:
+    """Call and message slug per row, and the args where rows share both, so no id names a list position."""
+    ids = [f"{call}-{re.sub('[^0-9A-Za-z]+', '-', message).strip('-')}" for call, _, _, message in rows]
+    return [i if ids.count(i) == 1 else f"{i}-{','.join(map(repr, row[1]))}" for i, row in zip(ids, rows)]
+
+
+def test_bad_input_ids_are_unique():
+    assert len(set(_row_ids(BAD_INPUTS))) == len(BAD_INPUTS)
+
+
+@pytest.mark.parametrize("call, args, error, message", BAD_INPUTS, ids=_row_ids(BAD_INPUTS))
 def test_bad_input_raises_the_established_error(call, args, error, message):
     with pytest.raises(error) as caught:
         CALLS[call](*args)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
 import random
@@ -349,11 +350,13 @@ class TestSampler:
             assert [f.hex() for f in fs] == [root.big_f(z).hex() for z in zs]
             assert max_g_dt == max(g_dt(z, k, params.m1, params.m2) for z in zs)
 
-    @pytest.mark.parametrize("d_n", [*range(9), 40])
+    @pytest.mark.parametrize("d_n", [*range(9), 40, 63, 64, 65, 130])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sample_is_the_column_oracle_bit_for_bit(self, d_n, sign):
-        # d_n and the two forms give R and Q every step count parity with zero, one and many
-        # list passes; grids 3-8 and 201 vary the list length and the split at grid // 2
+        # d_n and the two forms give R and Q short Horner chains of every length; d_n = 63-65 put
+        # the closed form's Q (d_n steps) and R (d_n + 1) on both sides of `_horner_pass`'s first
+        # rebinding, after 64 steps, and d_n = 130 past its second; r = ±0.6 keeps p representable.
+        # Grids 3-8 and 201 vary the list length and the split at grid // 2
         params = ProfileParams(m1=3, m2=2, d_n=d_n, r=0.6 * sign, n=4 * sign, fano_index=2)
         kern, kinds = _Kernel(params), set()
         for k in (0.0, 1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0, 300.0, -300.0):
@@ -364,6 +367,26 @@ class TestSampler:
                 assert [list(map(float.hex, col)) for col in got] == [list(map(float.hex, col)) for col in want]
                 assert got_dg.hex() == want_dg.hex()
         assert kinds == {"series", "closed"}
+
+    def test_generated_pass_is_keyed_by_shape_alone(self):
+        # one compile per (len R, len Q) serves every draw and grid, and no value enters the source
+        rng = random.Random(20261020)
+        sascone.profile._horner_pass.cache_clear()
+        shapes = set()
+        for _ in range(60):
+            m1, m2, d_n, sign = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 4), rng.choice((1, -1))
+            params = ProfileParams(m1=m1, m2=m2, d_n=d_n, r=sign * rng.uniform(0.05, 0.95),
+                                   n=sign * rng.randint(1, 12), fano_index=rng.randint(1, 4))
+            for grid in (3, 201):
+                root = _Root(_Kernel(params), build_profile(params, grid_size=grid).k_root)
+                shapes.add((len(root.r), len(root.q)))
+        assert {bool(q_count) for _, q_count in shapes} == {True, False}  # both forms ran
+        info = sascone.profile._horner_pass.cache_info()
+        assert info.currsize == info.misses == len(shapes) < info.maxsize
+        for shape in shapes:
+            tree = ast.parse(sascone.profile._horner_source(*shape))
+            assert not [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                        and isinstance(node.value, float)]
 
     def test_far_root_profile(self):
         params = ProfileParams(m1=600, m2=1, d_n=0, r=0.5, n=1, fano_index=1)
