@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every command is a thin composition of library operations; no math lives
-here. Output is deterministic (see `emit`). Exit codes: 0 success, 2
+here. A command's parser is built the first time a call or a `--config`
+entry runs it. Output is deterministic (see `emit`). Exit codes: 0 success, 2
 input validation error, 3 mathematical precondition failure, 4 golden
 replay mismatch, 5 metric profile whose certificate failed (the profile
 and its report are still written).
@@ -13,13 +14,14 @@ import argparse
 import contextlib
 import io
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from . import __version__
 from .errors import (EXIT_CERTIFICATE, EXIT_MISMATCH, EXIT_OK, BaseMismatchError, InvalidParameterError,
                      OddTotalError, SasconeError, exit_code_for)
 
 if TYPE_CHECKING:  # each handler imports the library modules it runs
+    from collections.abc import Callable
     from fractions import Fraction
 
     from .core import JoinParams
@@ -41,21 +43,32 @@ def _fraction(text: str) -> Fraction:
         raise InvalidParameterError(f"cannot parse rational {text!r}") from exc
 
 
-def _join_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--l1", type=int, required=True)
-    p.add_argument("--l2", type=int, required=True)
-    p.add_argument("--w1", type=int, required=True)
-    p.add_argument("--w2", type=int, required=True)
+class _LazyParser:
+    """A subcommand's parser, built on first use: the first attribute read, by argparse or a caller,
+    makes this stand-in the `ArgumentParser` its keywords describe, with its handler and options."""
+
+    def __init__(self, handler: Callable, add_options: Callable, **kwargs: Any) -> None:
+        self._pending = handler, add_options, kwargs
+
+    def __getattr__(self, name: str) -> Any:
+        handler, add_options, kwargs = self.__dict__.pop("_pending")
+        self.__class__ = argparse.ArgumentParser  # from here on it is that parser
+        argparse.ArgumentParser.__init__(self, **kwargs)
+        add_options(self)
+        self.set_defaults(handler=handler)
+        return getattr(self, name)
+
+
+def _join_options(p: argparse.ArgumentParser) -> None:
+    for name in ("--l1", "--l2", "--w1", "--w2"):
+        p.add_argument(name, type=int, required=True)
     p.add_argument("--base", default="cp1", help="cp<p>, sigma<g>, or custom:<dim_c>:<c1>")
-    return p
 
 
-def _ray_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--v1", type=int, required=True)
-    p.add_argument("--v2", type=int, required=True)
-    return p
+def _ray_options(p: argparse.ArgumentParser) -> None:
+    _join_options(p)  # every command that takes a ray takes its join, whose options come first
+    for name in ("--v1", "--v2"):
+        p.add_argument(name, type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,60 +78,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sascone {__version__}")
     parser.add_argument("--config", help="JSON file with a batch of commands to run")
-    sub = parser.add_subparsers(dest="command")
-    join, ray = _join_parent(), _ray_parent()
+    sub = parser.add_subparsers(dest="command", parser_class=_LazyParser)
+    sub.add_parser("invariants", help="topological/contact invariants of a join",
+                   handler=_cmd_invariants, add_options=_join_options)
+    sub.add_parser("quotient", help="quasi-regular quotient data of a ray",
+                   handler=_cmd_quotient, add_options=_ray_options)
 
-    p = sub.add_parser("invariants", parents=[join], help="topological/contact invariants of a join")
-    p.set_defaults(handler=_cmd_invariants)
+    def classify(p: argparse.ArgumentParser) -> None:
+        _ray_options(p)
+        p.add_argument("--near", type=_fraction, default=None, metavar="A/B",
+                       help="flag the verdict when the ray is within this distance of a range boundary")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+    sub.add_parser("classify", help="positive vs indefinite for a ray", handler=_cmd_classify,
+                   add_options=classify)
 
-    p = sub.add_parser("quotient", parents=[join, ray], help="quasi-regular quotient data of a ray")
-    p.set_defaults(handler=_cmd_quotient)
+    def range_(p: argparse.ArgumentParser) -> None:
+        _join_options(p)
+        p.add_argument("--format", choices=("json", "text"), default="json")
+    sub.add_parser("range", help="exact positivity range of the w-cone", handler=_cmd_range,
+                   add_options=range_)
 
-    p = sub.add_parser("classify", parents=[join, ray], help="positive vs indefinite for a ray")
-    p.add_argument("--near", type=_fraction, default=None, metavar="A/B",
-                   help="flag the verdict when the ray is within this distance of a range boundary")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(handler=_cmd_classify)
+    def bouquet(p: argparse.ArgumentParser) -> None:
+        for name in ("--l1", "--l2", "--w1", "--w2"):
+            p.add_argument(name, type=int)
+        p.add_argument("--base", default="cp1")
+        p.add_argument("--k", type=int)
+        p.add_argument("--l", type=int)
+    sub.add_parser("bouquet", help="bouquet labels (join flags) or level sets (--k/--l)",
+                   handler=_cmd_bouquet, add_options=bouquet)
 
-    p = sub.add_parser("range", parents=[join], help="exact positivity range of the w-cone")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(handler=_cmd_range)
+    def metric(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--m1", type=int, required=True)
+        p.add_argument("--m2", type=int, required=True)
+        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--dN", "--d-n", type=int, required=True, dest="d_n")
+        p.add_argument("--fano-index", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--grid", type=int, default=None)
+        p.add_argument("--out", choices=("csv", "json"), default="csv")
+    sub.add_parser("metric", help="build and certify an admissible profile", handler=_cmd_metric,
+                   add_options=metric)
 
-    p = sub.add_parser("bouquet", help="bouquet labels (join flags) or level sets (--k/--l)")
-    for name in ("--l1", "--l2", "--w1", "--w2"):
-        p.add_argument(name, type=int)
-    p.add_argument("--base", default="cp1")
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.set_defaults(handler=_cmd_bouquet)
+    def metric_from_ray(p: argparse.ArgumentParser) -> None:
+        _ray_options(p)
+        p.add_argument("--r", type=float, default=None)
+        p.add_argument("--grid", type=int, default=None)
+        p.add_argument("--out", choices=("csv", "json"), default="csv")
+    sub.add_parser("metric-from-ray", help="compose quotient data with the profile construction",
+                   handler=_cmd_metric_from_ray, add_options=metric_from_ray)
 
-    p = sub.add_parser("metric", help="build and certify an admissible profile")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--dN", "--d-n", type=int, required=True, dest="d_n")
-    p.add_argument("--fano-index", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--out", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=_cmd_metric)
+    def h1(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--s", type=float, required=True, help="total transverse scalar curvature")
+        p.add_argument("--volume", type=float, required=True)
+        p.add_argument("--n-half", type=int, required=True, help="n for dimension 2n+1")
+    sub.add_parser("h1", help="signed Einstein-Hilbert value from supplied totals", handler=_cmd_h1,
+                   add_options=h1)
 
-    p = sub.add_parser("metric-from-ray", parents=[join, ray],
-                       help="compose quotient data with the profile construction")
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--out", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=_cmd_metric_from_ray)
-
-    p = sub.add_parser("h1", help="signed Einstein-Hilbert value from supplied totals")
-    p.add_argument("--s", type=float, required=True, help="total transverse scalar curvature")
-    p.add_argument("--volume", type=float, required=True)
-    p.add_argument("--n-half", type=int, required=True, help="n for dimension 2n+1")
-    p.set_defaults(handler=_cmd_h1)
-
-    p = sub.add_parser("replay-tables", help="recompute the built-in golden tables")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_replay)
+    def replay_tables(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_parser("replay-tables", help="recompute the built-in golden tables", handler=_cmd_replay,
+                   add_options=replay_tables)
 
     return parser
 
@@ -369,6 +388,8 @@ def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
             # help and version actions print to stdout, which holds only the batch's JSON
             with contextlib.redirect_stderr(usage), contextlib.redirect_stdout(io.StringIO()):
                 ns = parser.parse_args(argv)
+                if ns.command is None:  # an entry such as "--config=other.json" names no command
+                    parser.error("a batch entry must name a command")
             res = ns.handler(ns)
         except SasconeError as exc:
             res = CommandResult(stdout="", stderr=str(exc), code=exit_code_for(exc))
@@ -389,6 +410,8 @@ def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config is not None and args.command is not None:
+        parser.error(f"argument --config: not allowed with the command {args.command!r}")
     try:
         if args.config is not None:
             return _run_config(args.config, parser)

@@ -460,6 +460,33 @@ def test_config_help_entry_stays_in_output(tmp_path):
     assert payload[2]["stdout"] == "5 < v1/v2\n"
 
 
+def test_config_entry_without_a_command_stays_in_output(tmp_path, capsys):
+    config = tmp_path / "batch.json"
+    entries = [{"command": f"--config={config}"},
+               {"command": "range", "l1": 1, "l2": 1, "w1": 7, "w2": 1, "format": "text"}]
+    config.write_text(json.dumps(entries), encoding="utf-8")
+    assert cli.main(["--config", str(config)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    assert [e["exit_code"] for e in payload] == [2, 0]
+    assert payload[0]["stdout"] == ""
+    assert payload[0]["stderr"] == "sascone: error: a batch entry must name a command"
+    assert payload[1]["stdout"] == "5 < v1/v2\n"
+
+
+def test_config_with_a_command_is_rejected(tmp_path, capsys):
+    config = tmp_path / "batch.json"
+    config.write_text(json.dumps([{"command": "h1", "s": 1, "volume": 1, "n_half": 2}]), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(config), "range", "--l1", "1", "--l2", "1", "--w1", "7", "--w2", "1"])
+    assert exc.value.code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: sascone ")
+    assert err.endswith("sascone: error: argument --config: not allowed with the command 'range'\n")
+
+
 def _assert_config_rejected(path):
     r = run_cli("--config", str(path))
     assert r.returncode == EXIT_VALIDATION

@@ -17,26 +17,43 @@ from conftest import child_env
 JOIN = ["--l1", "4", "--l2", "1", "--w1", "1", "--w2", "1"]
 RAY = ["--v1", "3", "--v2", "2"]
 
-# runs main(argv) with its output discarded, then prints the exit code and the sascone modules loaded
-CLI_PROBE = """
+# runs main(argv) with its output discarded, counting every ArgumentParser it constructs, then
+# prints the exit code, the sascone modules loaded, which of `dataclasses` and `inspect` (about
+# 12 ms of import, of which no exact computation has a use) it loaded, and the parser count
+PROBE = """
 import contextlib, io, json, sys
+before = set(sys.modules)
+import argparse
+parsers = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global parsers
+    parsers += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
 from sascone.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sascone."))]))
+loaded = set(sys.modules) - before
+print(json.dumps({"code": code, "modules": sorted(m for m in loaded if m.startswith("sascone.")),
+                  "stdlib": sorted({"dataclasses", "inspect"} & loaded), "parsers": parsers}))
 """
 
 
-def _run(*args: str) -> list:
+def _run(*args: str) -> list | dict:
     out = subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
                          env=child_env())
     return json.loads(out.stdout)
 
 
+def _probe(argv: list[str]) -> dict:
+    return _run("-c", PROBE, json.dumps(argv))
+
+
 def _cli_modules(argv: list[str]) -> set[str]:
-    code, modules = _run("-c", CLI_PROBE, json.dumps(argv))
-    assert code == 0
-    return set(modules)
+    probe = _probe(argv)
+    assert probe["code"] == 0
+    return set(probe["modules"])
 
 
 def test_import_sascone_loads_no_submodule():
@@ -65,42 +82,44 @@ def test_exact_commands_load_neither_profile_nor_goldens(argv):
     assert not _cli_modules(argv) & {"sascone.profile", "sascone.goldens"}
 
 
-def test_config_batch_of_exact_commands_loads_neither_profile_nor_goldens(tmp_path):
+def _batch_argv(tmp_path) -> list[str]:
+    """--config with a batch of the five EXACT_COMMANDS, each flag as its key."""
     entries = []
     for argv in EXACT_COMMANDS.values():
         flags = iter(argv[1:])
         entries.append({"command": argv[0], **{flag[2:]: value for flag, value in zip(flags, flags)}})
     config = tmp_path / "batch.json"
     config.write_text(json.dumps({"commands": entries}))
-    assert not _cli_modules(["--config", str(config)]) & {"sascone.profile", "sascone.goldens"}
+    return ["--config", str(config)]
+
+
+def test_config_batch_of_exact_commands_loads_neither_profile_nor_goldens(tmp_path):
+    assert not _cli_modules(_batch_argv(tmp_path)) & {"sascone.profile", "sascone.goldens"}
 
 
 def test_replay_tables_does_not_load_profile():
     assert "sascone.profile" not in _cli_modules(["replay-tables"])
 
 
-# runs main(argv) like CLI_PROBE, then prints the exit code and which of `dataclasses` and
-# `inspect` (about 12 ms of import, of which no exact computation has a use) it loaded
-STDLIB_PROBE = """
-import contextlib, io, json, sys
-before = set(sys.modules)
-from sascone.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))]))
-"""
-
-
 @pytest.mark.parametrize("command", [*EXACT_COMMANDS, "--config", "replay-tables"])
 def test_exact_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
     if command == "--config":  # a batch of all five
-        entries = []
-        for argv in EXACT_COMMANDS.values():
-            flags = iter(argv[1:])
-            entries.append({"command": argv[0], **{flag[2:]: value for flag, value in zip(flags, flags)}})
-        config = tmp_path / "batch.json"
-        config.write_text(json.dumps({"commands": entries}))
-        argv = ["--config", str(config)]
+        argv = _batch_argv(tmp_path)
     else:
         argv = EXACT_COMMANDS.get(command, [command])
-    assert _run("-c", STDLIB_PROBE, json.dumps(argv)) == [0, []]
+    probe = _probe(argv)
+    assert (probe["code"], probe["stdlib"]) == (0, [])
+
+
+ONE_COMMAND = {**EXACT_COMMANDS, "metric-from-ray": ["metric-from-ray", *JOIN, *RAY, "--grid", "5"]}
+
+
+@pytest.mark.parametrize("argv", ONE_COMMAND.values(), ids=ONE_COMMAND.keys())
+def test_a_call_builds_the_top_parser_and_its_command_only(argv):
+    probe = _probe(argv)
+    assert (probe["code"], probe["parsers"]) == (0, 2)
+
+
+def test_a_batch_builds_one_parser_per_command_it_runs(tmp_path):
+    probe = _probe(_batch_argv(tmp_path))
+    assert (probe["code"], probe["parsers"]) == (0, 1 + len(EXACT_COMMANDS))
