@@ -44,8 +44,8 @@ def _fraction(text: str) -> Fraction:
 
 
 class _LazyParser:
-    """A subcommand's parser, built on first use: the first attribute read, by argparse or a caller,
-    makes this stand-in the `ArgumentParser` its keywords describe, with its handler and options."""
+    """Stands in for a subcommand's parser until its first attribute read, by argparse or a
+    caller, which makes it the `ArgumentParser` of its keywords, options and handler."""
 
     def __init__(self, handler: Callable, add_options: Callable, **kwargs: Any) -> None:
         self._pending = handler, add_options, kwargs
