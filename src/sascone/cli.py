@@ -2,10 +2,13 @@
 
 Every command is a thin composition of library operations; no math lives
 here. A command's parser is built the first time a call or a `--config`
-entry runs it. Output is deterministic (see `emit`). Exit codes: 0 success, 2
-input validation error, 3 mathematical precondition failure, 4 golden
-replay mismatch, 5 metric profile whose certificate failed (the profile
-and its report are still written).
+entry runs it. A call and a `--config` entry take one path: parse, `_run`
+the handler, which returns its record or text, then write it, a record as
+JSON. stdout gets the answer; stderr gets a metric profile's report or a
+failed call's JSON error record. Output is deterministic (see `emit`).
+Exit codes: 0 success, 2 input validation error, 3 mathematical
+precondition failure, 4 golden replay mismatch, 5 metric profile whose
+certificate failed (the profile and its report are still written).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import sys
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from . import __version__
-from .errors import (EXIT_CERTIFICATE, EXIT_MISMATCH, EXIT_OK, BaseMismatchError, InvalidParameterError,
-                     OddTotalError, SasconeError, exit_code_for)
+from .errors import (EXIT_CERTIFICATE, EXIT_MISMATCH, EXIT_OK, EXIT_VALIDATION, BaseMismatchError,
+                     InvalidParameterError, OddTotalError, SasconeError, exit_code_for)
 
 if TYPE_CHECKING:  # each handler imports the library modules it runs
     from collections.abc import Callable
@@ -29,8 +32,10 @@ if TYPE_CHECKING:  # each handler imports the library modules it runs
 
 
 class CommandResult(NamedTuple):
-    stdout: str
-    stderr: str = ""
+    """A command's output streams, each text or a record that `_run` writes as JSON."""
+
+    stdout: Any = ""
+    stderr: Any = ""
     code: int = EXIT_OK
 
 
@@ -39,8 +44,8 @@ def _fraction(text: str) -> Fraction:
 
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParameterError(f"cannot parse rational {text!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:  # argparse words a ValueError by this function's name
+        raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}") from exc
 
 
 class _LazyParser:
@@ -78,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sascone {__version__}")
     parser.add_argument("--config", help="JSON file with a batch of commands to run")
+    parser.set_defaults(handler=lambda args: _run_config(args, parser))  # a call with no command
     sub = parser.add_subparsers(dest="command", parser_class=_LazyParser)
     sub.add_parser("invariants", help="topological/contact invariants of a join",
                    handler=_cmd_invariants, add_options=_join_options)
@@ -153,8 +159,7 @@ def _parse_join(args: argparse.Namespace) -> tuple[JoinParams, list[str]]:
     return join, notes
 
 
-def _cmd_invariants(args: argparse.Namespace) -> CommandResult:
-    from .emit import emit_json
+def _cmd_invariants(args: argparse.Namespace) -> dict:
     from .topology import (_require_projective_base, b_invariant_wcone, bouquet_label,
                            c1_gamma_coeff_sphere_join, spin_check, torsion_order)
 
@@ -183,30 +188,22 @@ def _cmd_invariants(args: argparse.Namespace) -> CommandResult:
     else:
         record["b_invariant"] = None
         notes.append("B invariant needs a Fano base")
-    return CommandResult(stdout=emit_json(record))
+    return record
 
 
-def _cmd_quotient(args: argparse.Namespace) -> CommandResult:
+def _cmd_quotient(args: argparse.Namespace) -> dict:
     from .core import ReebRay
-    from .emit import emit_json
     from .quotient import orb_c1_report, quotient_data
 
     join, notes = _parse_join(args)
     ray = ReebRay(args.v1, args.v2)
     data = quotient_data(join, ray)
     report = orb_c1_report(join, ray, data)
-    record = {
-        "join": join,
-        "ray": ray,
-        "quotient": data,
-        "orb_fano": report.positive,
-        "orb_c1": report,
-        "notes": notes,
-    }
-    return CommandResult(stdout=emit_json(record))
+    return {"join": join, "ray": ray, "quotient": data, "orb_fano": report.positive, "orb_c1": report,
+            "notes": notes}
 
 
-def _cmd_classify(args: argparse.Namespace) -> CommandResult:
+def _cmd_classify(args: argparse.Namespace) -> dict | str:
     from .classifier import classify_ray, positivity_range
     from .core import ReebRay
 
@@ -222,36 +219,26 @@ def _cmd_classify(args: argparse.Namespace) -> CommandResult:
         near = distance is not None and distance <= args.near
     if distance is not None and distance == 0:
         notes.append("ray lies exactly on a range boundary; boundaries classify as indefinite")
-    record = {
-        "verdict": verdict,
-        "range": rng,
-        "ratio": ray.ratio,
-        "distance_to_boundary": distance,
-        "near_boundary": near,
-        "notes": notes,
-    }
     if args.format == "text":
-        return CommandResult(stdout=f"{verdict.value}: ratio {ray.ratio}, range {rng.as_text()}\n")
-    from .emit import emit_json
-    return CommandResult(stdout=emit_json(record))
+        return f"{verdict.value}: ratio {ray.ratio}, range {rng.as_text()}\n"
+    return {"verdict": verdict, "range": rng, "ratio": ray.ratio, "distance_to_boundary": distance,
+            "near_boundary": near, "notes": notes}
 
 
-def _cmd_range(args: argparse.Namespace) -> CommandResult:
+def _cmd_range(args: argparse.Namespace) -> dict | str:
     from .classifier import positivity_range, whole_cone_rules
 
     join, notes = _parse_join(args)
     rng = positivity_range(join)
     if args.format == "text":
-        return CommandResult(stdout=rng.as_text() + "\n")
+        return rng.as_text() + "\n"
     record: dict = {"range": rng, "notes": notes}
     with contextlib.suppress(BaseMismatchError):  # the rules need a projective-space base
         record["whole_cone"] = whole_cone_rules(join)
-    from .emit import emit_json
-    return CommandResult(stdout=emit_json(record))
+    return record
 
 
-def _cmd_bouquet(args: argparse.Namespace) -> CommandResult:
-    from .emit import emit_json
+def _cmd_bouquet(args: argparse.Namespace) -> dict:
     from .topology import _require_projective_base, bouquet_label, bouquet_level_set, bouquet_partition
 
     join_flags = [args.l1, args.l2, args.w1, args.w2]
@@ -259,28 +246,23 @@ def _cmd_bouquet(args: argparse.Namespace) -> CommandResult:
         if args.k is None or args.l is None or any(v is not None for v in join_flags):
             raise InvalidParameterError("give either --k and --l, or the four join flags")
         partition = bouquet_partition(args.k, args.l)
-        return CommandResult(stdout=emit_json({"k": args.k, "l": args.l, "level_sets": partition}))
+        return {"k": args.k, "l": args.l, "level_sets": partition}
     if any(v is None for v in join_flags):
         raise InvalidParameterError("give either --k and --l, or the four join flags")
     join, notes = _parse_join(args)
     try:
         _require_projective_base(1, join)
     except BaseMismatchError:
-        return CommandResult(stdout=emit_json({"applicable": False, "reason": "bouquet labels not applicable", "notes": notes}))
+        return {"applicable": False, "reason": "bouquet labels not applicable", "notes": notes}
     label = bouquet_label(join)
-    record = {
-        "applicable": True,
-        "label": label,
-        "level_set": bouquet_level_set(label.k, label.l, label.i),
-        "notes": notes,
-    }
-    return CommandResult(stdout=emit_json(record))
+    return {"applicable": True, "label": label, "level_set": bouquet_level_set(label.k, label.l, label.i),
+            "notes": notes}
 
 
 def _profile_result(
     params: ProfileParams, args: argparse.Namespace, extra_report: dict | None = None
 ) -> CommandResult:
-    from .emit import emit_csv, emit_json
+    from .emit import emit_csv
     from .profile import DEFAULT_GRID, build_profile
 
     grid = DEFAULT_GRID if args.grid is None else args.grid
@@ -288,14 +270,11 @@ def _profile_result(
     report: dict = {"params": profile.params, "k_root": profile.k_root, "report": profile.report}
     if extra_report:
         report.update(extra_report)
-    stderr = emit_json(report)
     code = EXIT_OK if profile.report.all_ok else EXIT_CERTIFICATE
     if args.out == "json":
-        record = dict(report)
-        record["samples"] = profile.samples
-        return CommandResult(stdout=emit_json(record), stderr=stderr, code=code)
+        return CommandResult({**report, "samples": profile.samples}, report, code)
     csv = emit_csv(("z", "F", "Theta", "ricci_h", "ricci_v"), zip(*profile.columns))
-    return CommandResult(stdout=csv, stderr=stderr, code=code)
+    return CommandResult(csv, report, code)
 
 
 def _cmd_metric(args: argparse.Namespace) -> CommandResult:
@@ -317,16 +296,13 @@ def _cmd_metric_from_ray(args: argparse.Namespace) -> CommandResult:
     return _profile_result(params, args, {"join": join, "ray": ray, "quotient": data, "notes": notes})
 
 
-def _cmd_h1(args: argparse.Namespace) -> CommandResult:
+def _cmd_h1(args: argparse.Namespace) -> dict:
     from .classifier import h1_signed
-    from .emit import emit_json
 
-    value = h1_signed(args.s, args.volume, args.n_half)
-    return CommandResult(stdout=emit_json({"h1_signed": value}))
+    return {"h1_signed": h1_signed(args.s, args.volume, args.n_half)}
 
 
 def _cmd_replay(args: argparse.Namespace) -> CommandResult:
-    from .emit import emit_json
     from .goldens import default_checks, replay_tables
 
     outcomes = replay_tables(default_checks())
@@ -342,7 +318,7 @@ def _cmd_replay(args: argparse.Namespace) -> CommandResult:
             "passed": len(outcomes) - len(failures),
             "failed": len(failures),
         }
-        return CommandResult(stdout=emit_json(record), code=code)
+        return CommandResult(record, code=code)
     lines = []
     for o in outcomes:
         if o.ok:
@@ -350,7 +326,7 @@ def _cmd_replay(args: argparse.Namespace) -> CommandResult:
         else:
             lines.append(f"FAIL {o.check.check_id} expected={o.check.expected!r} got={o.got!r}")
     lines.append(f"{len(outcomes) - len(failures)}/{len(outcomes)} checks passed")
-    return CommandResult(stdout="\n".join(lines) + "\n", code=code)
+    return CommandResult("\n".join(lines) + "\n", code=code)
 
 
 def _entry_to_argv(entry: dict) -> list[str]:
@@ -366,16 +342,17 @@ def _entry_to_argv(entry: dict) -> list[str]:
     return argv
 
 
-def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
+def _run_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
+    """The top parser's handler: usage when no command is named, else the `--config` batch."""
+    if args.config is None:
+        return CommandResult(stderr=parser.format_usage(), code=EXIT_VALIDATION)
     import json
 
-    from .emit import emit_json
-
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, ValueError) as exc:  # missing or unreadable file, malformed JSON
-        raise InvalidParameterError(f"cannot read config {path!r}: {exc}") from exc
+        raise InvalidParameterError(f"cannot read config {args.config!r}: {exc}") from exc
     entries = payload.get("commands") if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise InvalidParameterError("config must be a list of commands or {'commands': [...]}")
@@ -390,21 +367,32 @@ def _run_config(path: str, parser: argparse.ArgumentParser) -> int:
                 ns = parser.parse_args(argv)
                 if ns.command is None:  # an entry such as "--config=other.json" names no command
                     parser.error("a batch entry must name a command")
-            res = ns.handler(ns)
-        except SasconeError as exc:
-            res = CommandResult(stdout="", stderr=str(exc), code=exit_code_for(exc))
         except SystemExit as exc:  # argparse rejected the entry's flags, or printed and exited
             # its last line is the reason; the usage above it wraps to the terminal
             reason = usage.getvalue().strip().rpartition("\n")[2]
-            res = CommandResult(stdout="", stderr=reason or "help and version are not run in a batch",
+            res = CommandResult(stderr=reason or "help and version are not run in a batch",
                                 code=int(exc.code or 2))
-        results.append(
-            {"command": entry.get("command"), "exit_code": res.code,
-             "stdout": res.stdout, "stderr": res.stderr}
-        )
+        else:
+            res = _run(ns)
+        results.append({"command": entry.get("command"), "exit_code": res.code,
+                        "stdout": res.stdout, "stderr": res.stderr})
         worst = max(worst, res.code)
-    sys.stdout.write(emit_json(results))
-    return worst
+    return CommandResult(results, code=worst)
+
+
+def _run(args: argparse.Namespace) -> CommandResult:
+    """Run the command `args` names, with its records written as JSON and its error as a record."""
+    try:
+        result = args.handler(args)
+    except SasconeError as exc:
+        result = CommandResult(stderr={"error": {"type": type(exc).__name__, "message": str(exc)}},
+                               code=exit_code_for(exc))
+    if not isinstance(result, CommandResult):
+        result = CommandResult(result)
+    if isinstance(result.stdout, str) and isinstance(result.stderr, str):
+        return result  # text output loads no `emit`
+    from .emit import emit_json
+    return CommandResult(*(o if isinstance(o, str) else emit_json(o) for o in result[:2]), result.code)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -412,22 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config is not None and args.command is not None:
         parser.error(f"argument --config: not allowed with the command {args.command!r}")
-    try:
-        if args.config is not None:
-            return _run_config(args.config, parser)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 2
-        result: CommandResult = args.handler(args)
-    except SasconeError as exc:
-        from .emit import emit_json
-
-        sys.stderr.write(emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return exit_code_for(exc)
-    if result.stdout:
-        sys.stdout.write(result.stdout)
-    if result.stderr:
-        sys.stderr.write(result.stderr)
+    result = _run(args)
+    sys.stdout.write(result.stdout)
+    sys.stderr.write(result.stderr)
     return result.code
 
 

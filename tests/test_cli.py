@@ -62,6 +62,24 @@ def test_classify_boundary_note():
     assert any("boundary" in note for note in payload["notes"])
 
 
+def test_classify_ray_on_an_interval_bound(capsys):
+    argv = ["classify", "--l1", "4", "--l2", "1", "--w1", "1", "--w2", "1", "--v1", "2", "--v2", "1"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["range"] == {"kind": "interval", "lower": "1/2", "upper": "2"}
+    assert (payload["verdict"], payload["distance_to_boundary"]) == ("indefinite", "0")
+    assert payload["notes"] == ["ray lies exactly on a range boundary; boundaries classify as indefinite"]
+
+
+@pytest.mark.parametrize("near", ["1/x", "1/0"])
+def test_classify_unparsable_near_names_the_rational(near):
+    r = run_cli("classify", "--l1", "2", "--l2", "1", "--w1", "3", "--w2", "1", "--v1", "2", "--v2", "1",
+                "--near", near)
+    assert r.returncode == EXIT_VALIDATION
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.endswith(f"sascone classify: error: argument --near: cannot parse rational '{near}'\n")
+
+
 def test_classify_near_must_be_nonnegative():
     argv = ("classify", "--l1", "2", "--l2", "1", "--w1", "3", "--w2", "1", "--v1", "2", "--v2", "1")
     r = run_cli(*argv, "--near=-1/2")

@@ -3,6 +3,8 @@
 Every command runs in-process through `sascone.cli.main`. The `metric`
 commands are left out on purpose: their floating-point output belongs to
 the metric kernel, which may change without changing any exact answer.
+The same commands, with one `metric` call, also run as one `--config`
+batch, whose entries must each hold what the call alone writes.
 After an intended output change, regenerate the expectations with
 
     PYTHONPATH=src python tests/test_cli_snapshot.py
@@ -52,11 +54,16 @@ def commands() -> list[list[str]]:
     return out
 
 
-def run(argv: list[str]) -> dict:
+def outputs(argv: list[str]) -> tuple[int, str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    return {"argv": argv, "exit_code": code, "stdout": stdout.getvalue()}
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run(argv: list[str]) -> dict:
+    code, stdout, _ = outputs(argv)
+    return {"argv": argv, "exit_code": code, "stdout": stdout}
 
 
 def test_cli_output_matches_snapshot():
@@ -64,6 +71,27 @@ def test_cli_output_matches_snapshot():
     assert [e["argv"] for e in expected] == commands()
     mismatched = [" ".join(e["argv"]) for e in expected if run(e["argv"]) != e]
     assert mismatched == []
+
+
+# a metric profile whose certificate fails (exit 5): CSV on stdout, its report on stderr
+FAILED_CERTIFICATE = ["metric", "--m1", "100", "--m2", "1", "--r", "-0.5", "--dN", "60",
+                      "--fano-index", "61", "--n", "-93", "--grid", "11"]
+
+
+def test_a_batch_entry_writes_what_the_call_alone_writes(tmp_path):
+    argvs = [*commands(), FAILED_CERTIFICATE]
+    entries = []
+    for command, *flags in argvs:  # each flag as its key, so the entry's argv is the call's
+        pairs = iter(flags)
+        entries.append({"command": command, **{flag[2:]: value for flag, value in zip(pairs, pairs)}})
+    config = tmp_path / "batch.json"
+    config.write_text(json.dumps(entries), encoding="utf-8")
+    code, stdout, stderr = outputs(["--config", str(config)])
+    batch = json.loads(stdout)
+    assert (code, stderr, len(batch)) == (5, "", len(argvs))
+    differ = [" ".join(argv) for argv, entry in zip(argvs, batch)
+              if (entry["exit_code"], entry["stdout"], entry["stderr"]) != outputs(argv)]
+    assert differ == []
 
 
 if __name__ == "__main__":

@@ -82,6 +82,15 @@ def test_exact_commands_load_neither_profile_nor_goldens(argv):
     assert not _cli_modules(argv) & {"sascone.profile", "sascone.goldens"}
 
 
+TEXT_COMMANDS = {"range": EXACT_COMMANDS["range"],
+                 "classify": [*EXACT_COMMANDS["classify"], "--format", "text"]}
+
+
+@pytest.mark.parametrize("argv", TEXT_COMMANDS.values(), ids=TEXT_COMMANDS.keys())
+def test_text_output_loads_no_emit(argv):
+    assert "sascone.emit" not in _cli_modules(argv)
+
+
 def _batch_argv(tmp_path) -> list[str]:
     """--config with a batch of the five EXACT_COMMANDS, each flag as its key."""
     entries = []
