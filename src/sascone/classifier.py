@@ -40,6 +40,8 @@ from .topology import c1_gamma_coeff_sphere_join
 
 
 class RangeKind(str, enum.Enum):
+    """Shape of the positive subset of the w-cone: empty, the whole cone, a half-line or an interval."""
+
     EMPTY = "empty"
     ENTIRE = "entire"
     HALF_LINE = "half_line"
@@ -47,6 +49,8 @@ class RangeKind(str, enum.Enum):
 
 
 class TypeVerdict(str, enum.Enum):
+    """Type of a ray in the w-cone: positive or indefinite."""
+
     POSITIVE = "positive"
     INDEFINITE = "indefinite"
 

@@ -33,6 +33,8 @@ from .topology import (
 
 
 class GoldenCheck(NamedTuple):
+    """One golden-table row: an id, the operation, its arguments and the published value."""
+
     check_id: str
     op: str
     args: dict[str, Any]
@@ -40,6 +42,8 @@ class GoldenCheck(NamedTuple):
 
 
 class CheckOutcome(NamedTuple):
+    """A replayed check, the value it recomputed, and whether that equals the expected one."""
+
     check: GoldenCheck
     got: Any
     ok: bool

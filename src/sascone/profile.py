@@ -70,11 +70,11 @@ and Q (`_horner_pass`), which takes the coefficients as arguments, writes
 out Horner's steps and adds u*Q, rebinding its accumulator in a `for`
 clause every 64 steps to stay within the parser's nesting limit. dg/dt
 is not stored: the report's max_g_dt is its exact value at the smallest
-exponential. The certificate scans the F and Theta columns that
-`MetricProfile` stores, Theta by its sum unless that overflows; its
-`samples` are rows built on every read. Everything is pure and
-reentrant. Exact quadrature of these closed forms is cross-checked
-against adaptive numerical quadrature in the test suite only.
+exponential. `build_profile` runs four stages: validate (Theta by its sum
+unless that overflows), solve, sample and certify. `_certify`, the one
+writer of the report, checks the columns against the root and the kernel.
+Everything is pure and reentrant. Exact quadrature of these closed forms
+is cross-checked against adaptive quadrature in the test suite only.
 """
 
 from __future__ import annotations
@@ -144,6 +144,8 @@ class ProfileParams(_Validated, namedtuple("ProfileParams", "m1 m2 d_n r n fano_
 
 
 class ProfileSample(NamedTuple):
+    """One grid row: z, F, Theta = F/p, and the horizontal and vertical Ricci coefficients."""
+
     z: float
     f: float
     theta: float
@@ -164,7 +166,7 @@ class SolveDiagnostics(NamedTuple):
 class VerificationReport:
     """Numerical certificate attached to a built profile.
 
-    The init fields are what `build_profile` measured or decided; `kernel`
+    The init fields are what `_certify` measured or decided; `kernel`
     names the form of F that ran at the root, "series" or "closed". The
     verdicts are derived from them, so a report cannot contradict itself:
     `interior_positive` is interior_min_f > 0, `horizontal_positive` is
@@ -207,8 +209,16 @@ class VerificationReport:
 
 @dataclass(frozen=True, slots=True)
 class MetricProfile:
+    """A built profile and its certificate.
+
+    `params` are the inputs, `columns` the grid as sampled, one tuple per
+    `ProfileSample` field in that order, and `report` the certificate that
+    `_certify` wrote on those columns. `k_root` is the root k*, and
+    `samples` the rows of `columns`.
+    """
+
     params: ProfileParams
-    columns: tuple[tuple[float, ...], ...]  # the grid, in ProfileSample._fields order
+    columns: tuple[tuple[float, ...], ...]
     report: VerificationReport
 
     @property
@@ -491,59 +501,59 @@ def solve_k(params: ProfileParams) -> float:
     return _solve_k(_Kernel(params)).k
 
 
-def build_profile(params: ProfileParams, grid_size: int = DEFAULT_GRID) -> MetricProfile:
-    """Solve for k, sample the profile on a uniform grid, and certify it.
+def _certify(kern: _Kernel, diag: SolveDiagnostics, kind: str,
+             columns: tuple[tuple[float, ...], ...], max_g_dt: float) -> VerificationReport:
+    """The report on `columns` sampled at the root `diag`; the one writer of `VerificationReport`.
 
-    The grid covers [-1, 1] endpoints included; the profile stores it as
-    columns, on which every check runs. The report records the endpoint
-    residuals of F and F', interior positivity, monotonicity of g, the box
-    verdict with its two integer scalars, and the flat (Kaehler-Einstein)
-    specialization flag. InvalidParameterError is raised when grid_size is
-    not an int in [3, 10**6], and when p or Theta = F/p leaves the double
-    range on the grid, before the solve when p at -1 or 1 is 0 or too large.
-    """
-    if _require_int(grid_size, "grid_size", 3) > _GRID_MAX:
-        raise InvalidParameterError(f"grid_size must be at most {_GRID_MAX}, got {grid_size}")
-    m1, m2, d_n, r, n, fano = params
-    try:
-        kern = _Kernel(params)
-        p_lo, p_hi = (1.0 - r) ** d_n, (1.0 + r) ** d_n
-        if min(p_lo, p_hi) == 0.0:
-            raise ZeroDivisionError  # Theta = F/p divides by this p = 0 for every k
-        diag = _solve_k(kern)
-        root = _Root(kern, diag.k)
-        columns, max_g_dt = root.sample(grid_size)
-        _, fs, thetas, _, _ = columns
-        representable = math.isfinite(sum(thetas)) or all(map(math.isfinite, thetas))
-    except (OverflowError, ZeroDivisionError):  # a binomial coefficient of p, or p itself
-        representable = False
-    if not representable:
-        raise InvalidParameterError(f"d_n = {d_n}, r = {r}: p or Theta = F/p leaves the double range")
-    k = diag.k
-    # dg/dt = -(a+b) * k*lead * exp(-k*z - |k|) is negative wherever its
-    # log is finite, even where the product underflows; the exponent is
-    # affine in z, so its extremes are at the endpoints.
+    grid_size is the length of F's column, params and p(±1) come from `kern`, `kind` names F's form."""
+    (m1, m2, d_n, r, n, fano), fs, k = kern.params, columns[1], diag.k
+    # dg/dt = -(a+b) * k*lead * exp(-k*z - |k|) is negative wherever its log is finite, even where
+    # the product underflows; the exponent is affine in z, so its extremes are at the endpoints.
     log_dg = math.log((kern.alpha + kern.beta) * _k_lead(k))
-    report = VerificationReport(
-        grid_size=grid_size,
+    return VerificationReport(
+        grid_size=len(fs),
         root=diag,
-        kernel=root.kind,
+        kernel=kind,
         endpoint_f_lo=abs(fs[0]),
         endpoint_f_hi=abs(fs[-1]),
-        fprime_lo_residual=abs(g_func(-1.0, k, m1, m2) - 2.0 / m2) * p_lo,
-        fprime_hi_residual=abs(g_func(1.0, k, m1, m2) + 2.0 / m1) * p_hi,
-        interior_min_f=min(islice(fs, 1, grid_size - 1)),
+        fprime_lo_residual=abs(g_func(-1.0, k, m1, m2) - 2.0 / m2) * (1.0 - r) ** d_n,
+        fprime_hi_residual=abs(g_func(1.0, k, m1, m2) + 2.0 / m1) * (1.0 + r) ** d_n,
+        interior_min_f=min(islice(fs, 1, len(fs) - 1)),
         max_g_dt=max_g_dt,
         g_monotone=all(math.isfinite(log_dg - k * z - abs(k)) for z in (-1.0, 1.0)),
         box_ok=ricci_box_holds(fano, n, m1, m2),
         box_first=fano * m2 - n,
         box_second=fano * m1 + n,
         ke_balance=kern.f(0.0),
-        is_ke=abs(k) <= 1e-13
-        and abs(2.0 * r * (fano / n) - (1.0 + r) / m2 - (1.0 - r) / m1) <= 1e-12,
+        is_ke=abs(k) <= 1e-13 and abs(2.0 * r * (fano / n) - (1.0 + r) / m2 - (1.0 - r) / m1) <= 1e-12,
         synthetic_dimension=d_n == 0,
     )
-    return MetricProfile(params=params, columns=columns, report=report)
+
+
+def build_profile(params: ProfileParams, grid_size: int = DEFAULT_GRID) -> MetricProfile:
+    """The profile in four stages: validate, solve for k, sample on a uniform grid, and certify.
+
+    The grid covers [-1, 1] endpoints included. The profile stores its columns as sampled, and
+    `_certify`, the one writer of the report, runs every check on them. Validation raises
+    InvalidParameterError when grid_size is not an int in [3, 10**6], and when p or Theta = F/p
+    leaves the double range on the grid, before the solve when p at -1 or 1 is 0 or too large.
+    """
+    if _require_int(grid_size, "grid_size", 3) > _GRID_MAX:
+        raise InvalidParameterError(f"grid_size must be at most {_GRID_MAX}, got {grid_size}")
+    d_n, r = params.d_n, params.r
+    try:
+        kern = _Kernel(params)
+        if min((1.0 - r) ** d_n, (1.0 + r) ** d_n) == 0.0:
+            raise ZeroDivisionError  # Theta = F/p divides by this p = 0 for every k
+        diag = _solve_k(kern)
+        root = _Root(kern, diag.k)
+        columns, max_g_dt = root.sample(grid_size)
+        representable = math.isfinite(sum(columns[2])) or all(map(math.isfinite, columns[2]))
+    except (OverflowError, ZeroDivisionError):  # a binomial coefficient of p, or p itself
+        representable = False
+    if not representable:
+        raise InvalidParameterError(f"d_n = {d_n}, r = {r}: p or Theta = F/p leaves the double range")
+    return MetricProfile(params, columns, _certify(kern, diag, root.kind, columns, max_g_dt))
 
 
 def profile_params_from_ray(

@@ -22,6 +22,7 @@ from sascone import (
     build_profile,
     g_dt,
     g_func,
+    parse_base,
     profile_params_from_ray,
     ricci_box_holds,
     solve_k,
@@ -29,7 +30,7 @@ from sascone import (
 )
 import sascone.profile
 from sascone.emit import emit_csv
-from sascone.profile import _K_CAP, _Kernel, _Root, _lead, _solve_k
+from sascone.profile import _K_CAP, _Kernel, _Root, _certify, _lead, _solve_k
 from conftest import CP1, CP2, GENUS2
 from oracles import F_exact, g_raw, quad_f, quad_profile_F, sample_columns, sign_changes
 
@@ -468,18 +469,13 @@ class TestColumns:
             (-1e308, -1e308, -1e308, -1e308, -1.0),
         ],
     )
-    def test_horizontal_verdict_ignores_the_sampled_column(self, params, column, monkeypatch):
-        sample = _Root.sample
-
-        def inject(root, grid_size):
-            (zs, fs, thetas, _, ricci_v), dgs = sample(root, grid_size)
-            return (zs, fs, thetas, tuple(column), ricci_v), dgs
-
-        monkeypatch.setattr(_Root, "sample", inject)
+    def test_horizontal_verdict_ignores_the_sampled_column(self, params, column):
         profile = build_profile(params, grid_size=5)
+        rep, (zs, fs, thetas, _, ricci_v) = profile.report, profile.columns
+        report = _certify(_Kernel(params), rep.root, rep.kernel, (zs, fs, thetas, column, ricci_v), rep.max_g_dt)
         box = ricci_box_holds(params.fano_index, params.n, params.m1, params.m2)
-        assert profile.report.horizontal_positive == profile.report.box_ok == box
-        assert profile.columns[3] == column  # written out as sampled, NaN included
+        assert report.horizontal_positive == report.box_ok == box
+        assert report == rep
 
     @pytest.mark.parametrize(
         "column, finite",
@@ -497,9 +493,10 @@ class TestColumns:
     )
     def test_theta_column_is_representable_iff_every_cell_is_finite(self, column, finite, monkeypatch):
         sample = _Root.sample
+        ricci_h = (math.nan, math.inf, -math.inf, -math.inf, math.nan)  # as sampled at k = 5e-324
 
         def inject(root, grid_size):
-            (zs, fs, _, ricci_h, ricci_v), dgs = sample(root, grid_size)
+            (zs, fs, _, _, ricci_v), dgs = sample(root, grid_size)
             return (zs, fs, column, ricci_h, ricci_v), dgs
 
         monkeypatch.setattr(_Root, "sample", inject)
@@ -508,7 +505,8 @@ class TestColumns:
                 build_profile(ASYM, grid_size=5)
             return
         assert not math.isfinite(sum(column))
-        assert build_profile(ASYM, grid_size=5).columns[2] == column
+        # both columns are stored as sampled, the ricci_h one NaN included
+        assert build_profile(ASYM, grid_size=5).columns[2:4] == (column, ricci_h)
 
     # at d_n = 1026, r = 0.999 the solve itself would fail: f is not finite on [-1, 1]
     @pytest.mark.parametrize("d_n, r, n", [(600, 0.9, 4), (600, -0.9, -4), (1026, 0.999, 4)])
@@ -521,6 +519,38 @@ class TestColumns:
         assert (1.0 + r * -math.copysign(1.0, r)) ** d_n == 0.0
         with pytest.raises(InvalidParameterError, match=f"d_n = {d_n}, r = {r}: p or Theta"):
             build_profile(params)
+
+
+class TestCertify:
+    """`_certify`, the one writer of the report, on sampled and on edited columns."""
+
+    # (params, grid, kernel, all_ok): both kernels, d_n = 0, a KE profile, and a failing certificate
+    CASES = {
+        "asym": (ASYM, 201, "closed", True),
+        "sym-d_n-0": (SYM, 201, "series", True),
+        "ke": (ProfileParams(5, 4, 1, 1 / 3, 10, 7), 201, "series", True),
+        "cli-series": (ProfileParams(m1=1, m2=1, d_n=0, r=0.5, n=1, fano_index=2), 5, "series", True),
+        "cp60-fails": (profile_params_from_ray(validate_join(1, 1, 7, 1, parse_base("cp60")),
+                                               ReebRay(100, 1))[0], 11, "closed", False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_certify_on_build_profiles_columns_is_its_report(self, case):
+        params, grid, kernel, all_ok = self.CASES[case]
+        profile = build_profile(params, grid_size=grid)
+        rep = profile.report
+        assert (rep.kernel, rep.all_ok) == (kernel, all_ok)
+        assert _certify(_Kernel(params), rep.root, kernel, profile.columns, rep.max_g_dt) == rep
+
+    @pytest.mark.xfail(reason="ROADMAP item 3")
+    def test_perturbed_profile_fails_the_certificate(self):
+        # F + 0.05 * (1 - z**2) keeps every grid check: F(0) moves from 0.34734 to 0.39734
+        params = ProfileParams(3, 2, 2, 0.5, 4, 2)
+        profile = build_profile(params, grid_size=201)
+        rep, (zs, fs, *rest) = profile.report, profile.columns
+        bumped = tuple(f + 0.05 * (1.0 - z * z) for z, f in zip(zs, fs))
+        assert round(fs[100], 5) == 0.34734 and round(bumped[100], 5) == 0.39734
+        assert not _certify(_Kernel(params), rep.root, rep.kernel, (zs, bumped, *rest), rep.max_g_dt).all_ok
 
 
 class TestKernelAccuracy:

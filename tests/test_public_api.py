@@ -17,3 +17,13 @@ def test_all_lists_exactly_the_imported_public_names():
         if not name.startswith("_") and not isinstance(getattr(sascone, name), types.ModuleType)
     }
     assert imported == set(sascone.__all__)
+
+
+def test_every_exported_class_has_its_own_docstring():
+    # not inherited, and not the `Name(fields)` text that namedtuple and dataclass synthesize
+    undocumented = [
+        name for name in sascone.__all__
+        if isinstance(cls := getattr(sascone, name), type)
+        and (not cls.__dict__.get("__doc__") or cls.__doc__.startswith(f"{name}("))
+    ]
+    assert undocumented == []
