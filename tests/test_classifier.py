@@ -144,6 +144,7 @@ class TestWholeConeRules:
 class TestH1Signed:
     def test_zero_scalar(self):
         assert h1_signed(0.0, 1.0, 2) == 0.0
+        assert math.copysign(1.0, h1_signed(-0.0, 1.0, 2)) == 1.0  # 0, not -0
 
     def test_unit(self):
         for n in (1, 2, 5):
@@ -158,26 +159,28 @@ class TestH1Signed:
         (1e-160, 1e-100, 1),  # |S|^(n+1) is subnormal
         (-1e-160, 1e-100, 2),
         (5e-324, 1e-300, 1),
-        (1e10, 1e10, 2500),  # mantissa powers taken in chunks of 1000
+        (1e10, 1e10, 2500),
+        (-1e-160, 1e-5, 1),  # the value itself is subnormal
+        (-1.0001, 1.0002, 10**4),  # n at its cap
     ])
     def test_finite_value_despite_intermediates(self, s, v, n):
         got = h1_signed(s, v, n)
         oracle = float(Fraction(abs(s)) ** (n + 1) / Fraction(v) ** n)
         assert math.copysign(1.0, got) == math.copysign(1.0, s)
-        assert abs(abs(got) - oracle) <= (n + 2) * math.ulp(oracle)
+        assert abs(got) == oracle
 
-    @pytest.mark.parametrize("s, v", [  # |S|^(n+1) and V^n stay normal: the plain powers run
+    @pytest.mark.parametrize("s, v", [
         (1.0000750846783426, 1.000013630284182),
         (-1.0000623257417016, 1.0000698971930373),
         (-0.9999254218249894, 1.0000823566636259),
         (1.0000121200437706, 0.9999024872637658),
     ])
-    def test_large_n_within_two_ulps(self, s, v):
-        n = 5000  # mantissa powers alone miss each of these by more than 5 ulps
+    def test_large_n_correctly_rounded(self, s, v):
+        n = 5000
         exact = Fraction(abs(s)) ** (n + 1) / Fraction(v) ** n
         got = h1_signed(s, v, n)
         assert math.copysign(1.0, got) == math.copysign(1.0, s)
-        assert abs(Fraction(abs(got)) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+        assert abs(got) == float(exact)
 
     @given(
         s=st.floats(1e-300, 1e300), v=st.floats(1e-300, 1e300), n=st.integers(1, 6),
@@ -192,8 +195,27 @@ class TestH1Signed:
                 h1_signed(s, v, n)
             return
         got = h1_signed(-s if neg else s, v, n)
-        assert abs(abs(got) - oracle) <= (n + 2) * math.ulp(oracle)
+        assert abs(got) == oracle
         assert got == 0.0 or (got < 0) == neg
+
+    def test_n_half_above_the_cap_is_invalid(self):
+        for n in (10**4 + 1, 10**400):
+            with pytest.raises(InvalidParameterError):
+                h1_signed(1.0, 1.0, n)
+
+    @pytest.mark.parametrize("s, v", [("3.7", 2.9), (3.7, "2.9"), (1.0, None), (1.0, 1j)])
+    def test_non_real_totals_are_invalid(self, s, v):
+        with pytest.raises(InvalidParameterError):
+            h1_signed(s, v, 2)
+
+    @pytest.mark.parametrize("s, v", [(1.0, 10**400), (-(10**400), 1.0), (Fraction(10**400), 1.0)],
+                             ids=["int-volume", "int-s", "fraction-s"])
+    def test_totals_beyond_the_double_range_are_invalid(self, s, v):
+        with pytest.raises(InvalidParameterError):
+            h1_signed(s, v, 1)
+
+    def test_real_totals_of_other_types(self):
+        assert h1_signed(Fraction(-2), 4, 1) == -1.0
 
     def test_volume_must_be_positive(self):
         with pytest.raises(NonpositiveVolumeError):

@@ -339,6 +339,20 @@ def test_h1_rejects_overflow():
     assert "InvalidParameterError" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("n_half", ["10001", str(10**400)], ids=["cap+1", "10^400"])
+def test_h1_n_half_above_the_cap_is_a_validation_error(n_half, capsys):
+    # S^(n+1)/V^n would overflow here, so the cap's message shows that no power was taken
+    assert cli.main(["h1", "--s", "1e300", "--volume", "1e-300", "--n-half", n_half]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == {"message": "n_half must be an int <= 10000", "type": "InvalidParameterError"}
+
+
+def test_h1_negative_zero_scalar_prints_zero(capsys):
+    assert cli.main(["h1", "--s", "-0", "--volume", "1", "--n-half", "1"]) == 0
+    assert capsys.readouterr().out == '{\n  "h1_signed": 0\n}\n'  # not -0
+
+
 def test_h1_rejects_infinite_volume():
     r = run_cli("h1", "--s", "1", "--volume", "inf", "--n-half", "1")
     assert r.returncode == EXIT_VALIDATION

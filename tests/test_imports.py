@@ -74,6 +74,7 @@ EXACT_COMMANDS = {
     "quotient": ["quotient", *JOIN, *RAY],
     "invariants": ["invariants", *JOIN],
     "bouquet": ["bouquet", "--l1", "1", "--l2", "3", "--w1", "7", "--w2", "1"],
+    "h1": ["h1", "--s", "3.7", "--volume", "2.9", "--n-half", "2"],
 }
 
 
@@ -92,7 +93,7 @@ def test_text_output_loads_no_emit(argv):
 
 
 def _batch_argv(tmp_path) -> list[str]:
-    """--config with a batch of the five EXACT_COMMANDS, each flag as its key."""
+    """--config with a batch of the six EXACT_COMMANDS, each flag as its key."""
     entries = []
     for argv in EXACT_COMMANDS.values():
         flags = iter(argv[1:])
@@ -112,7 +113,7 @@ def test_replay_tables_does_not_load_profile():
 
 @pytest.mark.parametrize("command", [*EXACT_COMMANDS, "--config", "replay-tables"])
 def test_exact_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
-    if command == "--config":  # a batch of all five
+    if command == "--config":  # a batch of all six
         argv = _batch_argv(tmp_path)
     else:
         argv = EXACT_COMMANDS.get(command, [command])
