@@ -32,6 +32,11 @@ def child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def fraction_fields(x) -> tuple:
+    """What a caller can observe of a Fraction: type, value, hash, numerator, denominator and text."""
+    return type(x), x, hash(x), x.numerator, type(x.numerator), x.denominator, type(x.denominator), str(x), repr(x)
+
+
 @pytest.fixture
 def cp1() -> BaseManifold:
     return CP1

@@ -30,7 +30,9 @@ from sascone import (
     torsion_order,
     validate_join,
 )
+from sascone.classifier import _range_bounds
 from sascone.profile import _Kernel
+from conftest import fraction_fields
 from oracles import quad_f, quad_profile_F, sign_changes
 
 CP1 = BaseManifold.projective_space(1)
@@ -163,6 +165,21 @@ def test_criterion_3_predicate_range_equivalence():
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and pairs == len(joins) * len(rays)
     _report(3, f"predicate vs range membership on {pairs} (join, ray) pairs", ok, elapsed, 30.0)
+
+
+def test_range_bounds_are_the_fractions_the_constructor_makes():
+    """Each finite bound of the corpus' ranges equals `Fraction(num, den)` of `_range_bounds`' pair."""
+    reduced = 0
+    for j in _corpus():
+        params = (j.l1, j.l2, j.w1, j.w2, j.base.c1_coeff)
+        _, *pairs = _range_bounds(*params)
+        for rng in (positivity_range(j), positivity_range_raw(*params)):
+            for bound, pair in zip(rng[1:], pairs):
+                assert (bound is None) == (pair is None)
+                if pair is not None:
+                    assert fraction_fields(bound) == fraction_fields(Fraction(*pair)), (j, pair)
+                    reduced += gcd(*pair) > 1
+    assert reduced > 0  # some pairs are not in lowest terms, so the gcd is exercised
 
 
 def test_criterion_4_profile_certification():

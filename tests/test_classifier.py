@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -197,6 +198,18 @@ class TestH1Signed:
         got = h1_signed(-s if neg else s, v, n)
         assert abs(got) == oracle
         assert got == 0.0 or (got < 0) == neg
+
+    # decided by the bit lengths before any power, as the powers would decide them
+    def test_overflow_far_out_of_range_is_invalid(self):
+        for s, v in ((sys.float_info.max, 5e-324), (-sys.float_info.max, 1e-300)):
+            with pytest.raises(InvalidParameterError, match="^h1 computation overflows double precision at"):
+                h1_signed(s, v, 10**4)
+
+    @pytest.mark.parametrize("s, v", [(5e-324, sys.float_info.max), (1e-300, 1e300), (1.0, 1e300)])
+    def test_underflow_far_out_of_range_is_zero_of_the_sign_of_s(self, s, v):
+        for signed in (s, -s):
+            got = h1_signed(signed, v, 10**4)
+            assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, signed)
 
     def test_n_half_above_the_cap_is_invalid(self):
         for n in (10**4 + 1, 10**400):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from sascone import (
     parse_base,
     validate_join,
 )
-from conftest import CP1, CP2
+from conftest import CP1, CP2, fraction_fields
 
 
 def test_validate_join_accepts_known_family_member():
@@ -118,7 +119,7 @@ def test_integer_subclasses_are_accepted():
 
     assert BaseManifold.riemann_surface(Count(0)).c1_coeff == 2
     assert BaseManifold(dim_c=Count(2), c1_coeff=Count(-1)).dim_c == 2
-    assert ReebRay(Count(3), Count(2)).ratio == Fraction(3, 2)
+    assert fraction_fields(ReebRay(Count(3), Count(2)).ratio) == fraction_fields(Fraction(3, 2))
 
 
 def test_parse_base():
@@ -135,6 +136,16 @@ def test_reeb_ray_requires_coprime():
     with pytest.raises(NotCoprimeError):
         ReebRay(2, 4)
     assert ReebRay(3, 2).ratio == Fraction(3, 2)
+
+
+def test_fraction_layout_is_the_one_lowest_terms_fills():
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def test_ratio_is_the_fraction_the_constructor_makes():
+    rays = [(v1, v2) for v1 in range(1, 51) for v2 in range(1, 51) if gcd(v1, v2) == 1]
+    for v1, v2 in rays:
+        assert fraction_fields(ReebRay(v1, v2).ratio) == fraction_fields(Fraction(v1, v2))
 
 
 @given(a=st.integers(-1000, 1000).filter(bool), b=st.integers(1, 1000),

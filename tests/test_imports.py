@@ -92,6 +92,14 @@ def test_text_output_loads_no_emit(argv):
     assert "sascone.emit" not in _cli_modules(argv)
 
 
+def test_classify_loads_no_topology():
+    assert "sascone.topology" not in _cli_modules(EXACT_COMMANDS["classify"])
+
+
+def test_range_json_loads_topology_for_the_whole_cone_rules():
+    assert "sascone.topology" in _cli_modules([*EXACT_COMMANDS["range"][:-1], "json"])
+
+
 def _batch_argv(tmp_path) -> list[str]:
     """--config with a batch of the six EXACT_COMMANDS, each flag as its key."""
     entries = []
