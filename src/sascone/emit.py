@@ -12,12 +12,14 @@ import math
 from array import array
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii  # json.dumps(s, ensure_ascii=True) for a str s
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+_AS_IS = {float, str, bool, type(None), dict, list}  # the types whose values `_plain` returns as they are
 _MEMO_CELLS = 2**14  # the longest first CSV column whose texts `_texts_of_bits` keeps, 8 at most
 
 
@@ -27,8 +29,18 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Normalize a record into plain JSON-compatible values."""
+@lru_cache(maxsize=64)  # one entry per type written that is not `_AS_IS`
+def _record_fields(cls: type) -> Collection[str] | None:
+    """The field names of a dataclass, told without importing dataclasses, or of a named tuple;
+    None for any other type, and for a float, int, str or Fraction, whose own rules come first."""
+    if issubclass(cls, (float, int, str, Fraction)):
+        return None
+    return getattr(cls, "__dataclass_fields__", None) or getattr(cls, "_fields", None)
+
+
+def _plain(obj: Any) -> Any:
+    """`obj` one level down, the one home of each type rule: a JSON scalar as it stays, a
+    record's fields as a dict, a set as a sorted list; other containers and their values as given."""
     if isinstance(obj, float) or obj is None:  # the commonest first
         return obj
     if isinstance(obj, int):  # a bool is within the int64 range, so it comes back as itself
@@ -37,83 +49,92 @@ def to_jsonable(obj: Any) -> Any:
         return obj.value if isinstance(obj, Enum) else obj  # the package's enums are str enums
     if isinstance(obj, Fraction):
         return str(obj)
-    # a dataclass, told without importing dataclasses, or a named tuple
-    fields = getattr(type(obj), "__dataclass_fields__", None) or getattr(type(obj), "_fields", None)
-    if fields is not None:
-        return {name: to_jsonable(getattr(obj, name)) for name in fields}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if (fields := _record_fields(type(obj))) is not None:
+        return {name: getattr(obj, name) for name in fields}
     if isinstance(obj, (set, frozenset)):
-        return [to_jsonable(v) for v in sorted(obj)]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return sorted(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        return obj
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write(value: Any, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(value, float):  # the commonest first; none of None, True, False is a float or str
+def to_jsonable(obj: Any) -> Any:
+    """Normalize a record into plain JSON-compatible values."""
+    obj = _plain(obj)
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    return [to_jsonable(v) for v in obj] if isinstance(obj, (list, tuple)) else obj
+
+
+def _write(value: Any, out: list[str], pad: str) -> None:
+    """Append the JSON text of `value`, `to_jsonable`'s, to `out`; `pad` is a newline and the indentation
+    of its line. A record is read field by field, and a value of no `_AS_IS` type goes through `_plain`."""
+    if type(value) not in _AS_IS:
+        if (fields := _record_fields(type(value))) is not None:  # read with no dict built
+            return _write_object(sorted(fields), partial(getattr, value), out, pad)
+        value = _plain(value)
+    if isinstance(value, float):  # none of None, True, False is a float or str
         out.append(format_float(value))
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         out.append(str(value))
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + "  ")
-            _write(item, out, indent + 1)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + "]")
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(value)
-        for i, key in enumerate(keys):
-            out.append(pad + "  " + encode_basestring_ascii(str(key)) + ": ")
-            _write(value[key], out, indent + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
+        plain = {str(k): v for k, v in value.items()}  # a later key wins, as in `to_jsonable`
+        if len(plain) < len(value):  # which converts the values it hides too
+            to_jsonable(value)
+        _write_object(sorted(plain), plain.__getitem__, out, pad)
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, out, inner)
+            sep = ","
+        out.append(pad + "]" if value else "[]")
+
+
+def _write_object(names: list[str], read: Callable[[str], Any], out: list[str], pad: str) -> None:
+    """Append the JSON object of the sorted str keys `names` and their values `read(name)`."""
+    inner, sep = pad + "  ", "{"
+    for name in names:
+        out.append(sep + inner + encode_basestring_ascii(name) + ": ")
+        _write(read(name), out, inner)
+        sep = ","
+    out.append(pad + "}" if names else "{}")
 
 
 def emit_json(record: Any) -> str:
-    """Canonical JSON text for a record, with a trailing newline."""
+    """Canonical JSON text for a record, with a trailing newline: `to_jsonable`'s values in one walk.
+
+    An error is `to_jsonable`'s when it raises, so a value it cannot convert, even one a later
+    equal key hides, is named before a non-finite float is."""
     out: list[str] = []
-    _write(to_jsonable(record), out, 0)
-    out.append("\n")
-    return "".join(out)
+    try:
+        _write(record, out, "\n")
+    except (TypeError, ValueError):
+        to_jsonable(record)
+        raise
+    return "".join(out) + "\n"
 
 
 def emit_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
     """Deterministic CSV of float rows: '.' decimal separator, LF line endings.
 
-    Cells read as `format_float` prints them, and a non-finite one raises its
-    ValueError. A row whose width differs from the header's raises TypeError.
-    A short first column, as a profile's z, is formatted once per column.
+    Cells read as `format_float` prints them, and the first non-finite one raises
+    its ValueError. A row whose width differs from the header's raises TypeError.
+    A short first column, as a profile's z, is formatted once per column, and
+    the body in one `%` call.
     """
-    rows = list(rows)
-    if {*map(len, rows)} - {len(header)}:
-        raise TypeError(f"every CSV row must have the header's {len(header)} cells")
-    first = [row[0] for row in rows]
-    if len(first) <= _MEMO_CELLS:
-        texts = _texts_of_bits(array("d", first).tobytes())  # raises what "%.17g" % cell would
-    else:
-        texts = map("%.17g".__mod__, first)
-    rest = ",%.17g" * (len(header) - 1) + "\n"  # the cells after the first, each with its comma
-    body = "".join([text + rest % tuple(row)[1:] for text, row in zip(texts, rows)])
+    rows, width = list(rows), len(header)
+    if {*map(len, rows)} - {width}:
+        raise TypeError(f"every CSV row must have the header's {width} cells")
+    cells = [*chain.from_iterable(rows)]
+    first = cells[::width]  # `array` raises what "%.17g" % cell would
+    cells[::width] = (_texts_of_bits(array("d", first).tobytes()) if len(first) <= _MEMO_CELLS
+                      else map("%.17g".__mod__, first))
+    body = ("%s" + ",%.17g" * (width - 1) + "\n") * len(rows) % tuple(cells)  # a first cell is its text
     if "n" in body:  # a finite %.17g cell has no "n"; "inf", "-inf" and "nan" do
         row = body[: body.index("\n", body.index("n"))].rpartition("\n")[2]
         cell = next(text for text in row.split(",") if "n" in text)  # the float's repr

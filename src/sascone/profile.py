@@ -59,11 +59,13 @@ so no term overflows for any finite k. Two forms cover every k:
 The closed form cancels when S is large (small |k|, large d_n); its
 rounding error is about eps * sum |Q_j|. It runs when sum |Q_j| <=
 _CONDITION_BOUND * (a+b) * int(p), the scale of F, and the series runs
-otherwise. The root solver sums f(k) = F(1; k) in the same form, bit for
-bit, with no R built, and bisects until its bracket holds no double
-between the ends; the tolerance only decides failure. Q and R are built
-once at the root k*. Sampling takes one exponential a point (two in the
-series form), in which g and dg/dt are affine, and one pass over the grid
+otherwise. In the closed form, the root solver's f(k) = F(1; k) comes
+out of the one pass over Q's recursion (`_Kernel.closed_form`) that also
+adds up Q(1), Q(-1) and R(1) in `_horner`'s order, so it is F(1; k) bit
+for bit with no R built. The solver bisects until its bracket holds no
+double between the ends; the tolerance only decides failure. Q and R are
+built once at the root k*. Sampling takes one exponential a point (two in
+the series form), in which g and dg/dt are affine, and one pass over the grid
 (built once per size) per column but z and Theta at d_n = 0. F's pass is a
 list comprehension generated and compiled once per pair of lengths of R
 and Q (`_horner_pass`), which takes the coefficients as arguments, writes
@@ -313,7 +315,7 @@ def _vanish_at_minus_one(poly: list[float]) -> list[float]:
 class _Kernel:
     """Polynomial data of g(t, k) * p(t) for fixed `params`, and the closed form's bound on sum |Q_j|."""
 
-    __slots__ = ("alpha", "beta", "bound", "coeffs", "m0", "params", "q_steps", "q_total")
+    __slots__ = ("alpha", "beta", "bound", "coeffs", "m0", "params", "q_total", "steps")
 
     def __init__(self, params: ProfileParams) -> None:
         self.params = params
@@ -325,40 +327,40 @@ class _Kernel:
         self.m0 = _vanish_at_minus_one([0.0] + [c / e for e, c in enumerate(self.coeffs, 1)])
         self.q_total = _horner(self.m0, 1.0)
         self.bound = _CONDITION_BOUND * (self.alpha + self.beta) * self.q_total
-        # the steps (e + 1, p_e) of Q's recursion, top power first
-        self.q_steps = tuple((float(e + 1), self.coeffs[e]) for e in range(params.d_n, -1, -1))
+        # the steps (e + 1, p_e, M_0's coefficient of z**(e + 1)) of the closed form, top power first
+        self.steps = tuple(zip([float(e) for e in range(params.d_n + 1, 0, -1)], self.coeffs[::-1], self.m0[:0:-1]))
 
-    def closed_form(self, k: float) -> tuple[list[float], float, float, float] | None:
-        """Q, Q(1), R's weight on M_0 and R's constant term at k; None at k = 0 or past _CONDITION_BOUND.
+    def closed_form(self, k: float) -> tuple[float, list[float], float, float] | None:
+        """F(1; k), Q, R's weight on M_0 and R's constant term at k; None at k = 0 or past _CONDITION_BOUND.
 
         exp(-k*t) * p(t) has the antiderivative -exp(-k*t) * S(t) with k*S - S' = p, solved from the
-        top coefficient down; Q is -(a+b) * lead * S, and R's constant term makes F(-1) = 0."""
+        top coefficient down; Q is -(a+b) * lead * S, and R's constant term makes F(-1) = 0. F(1; k) is
+        summed in `_horner`'s order, so it is `_Root(self, k).big_f(1.0)` bit for bit with no R built."""
         if not k:
             return None
-        a, b, lead = self.alpha, self.beta, _lead(k)
+        a, b, ak = self.alpha, self.beta, abs(k)
+        lead = math.copysign(2.0 / -math.expm1(-2.0 * ak), k)  # `_lead(k)`
         q_weight = -(a + b) * lead
-        q, nxt, q_lo, q_hi = [], 0.0, 0.0, 0.0  # q_lo, q_hi: Q(-1) and Q(1) by `_horner`'s steps
-        for e, c in self.q_steps:
+        u_lo, u_hi = math.exp(k - ak), math.exp(-k - ak)  # u(-1), u(1)
+        m0_weight = -lead * (a * u_lo + b * u_hi)
+        q, sizes = [], []
+        nxt = q_lo = q_hi = r_hi = 0.0  # Q(-1), Q(1) and R(1) less its constant term, by `_horner`'s steps
+        for e, c, m in self.steps:
             nxt = (q_weight * c + e * nxt) / k
             q.append(nxt)
+            sizes.append(abs(nxt))
             q_lo = nxt - q_lo
             q_hi += nxt
-        q.reverse()
-        if not sum(map(abs, q)) <= self.bound:
+            r_hi += m0_weight * m
+        sizes.reverse()  # sum |Q_j| in ascending order
+        if not sum(sizes) <= self.bound:
             return None
-        u_lo = math.exp(k - abs(k))  # u(-1)
-        m0_weight = -lead * (a * u_lo + b * math.exp(-k - abs(k)))
-        return q, q_hi, m0_weight, m0_weight * self.m0[0] - u_lo * q_lo
+        r_0 = m0_weight * self.m0[0] - u_lo * q_lo
+        return (r_hi + r_0) + u_hi * q_hi, q[::-1], m0_weight, r_0
 
     def f(self, k: float) -> float:
-        """f(k) = F(1; k), bit for bit `_Root(self, k).big_f(1.0)`, with no R built in the closed form."""
-        if (closed := self.closed_form(k)) is None:
-            return _Root(self, k).big_f(1.0)
-        _, q_hi, m0_weight, r_0 = closed
-        r_hi = 0.0  # R(1) by `_horner`'s steps
-        for m in self.m0[:0:-1]:
-            r_hi += m0_weight * m
-        return (r_hi + r_0) + math.exp(-k - abs(k)) * q_hi
+        """f(k) = F(1; k): the closed form's sum, else the series' `_Root(self, k).big_f(1.0)`."""
+        return closed[0] if (closed := self.closed_form(k)) else _Root(self, k).big_f(1.0)
 
 
 class _Root:
@@ -380,7 +382,7 @@ class _Root:
         self.k = k
         if (closed := kern.closed_form(k)) is not None:
             self.kind = "closed"
-            self.q, _, m0_weight, r_0 = closed
+            _, self.q, m0_weight, r_0 = closed
             self.r = [r_0] + [m0_weight * m for m in kern.m0[1:]]
             return
         # The series form of "Numerics", with scale = k / sinh k and D/k

@@ -6,16 +6,25 @@ the library's stabilized rewrite and its closed-form antiderivatives)
 with scipy's adaptive quadrature. The exact oracle evaluates the closed
 form of the profile in high-precision arithmetic, so it reaches the far
 and high-degree cases that quadrature cannot resolve. The sign-scan
-oracle brackets roots the dumb way, by walking a fine grid.
+oracle brackets roots the dumb way, by walking a fine grid. The
+reference root function and JSON writer are the library's earlier
+implementations, kept as they were, which the current ones must match
+bit for bit and byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from enum import Enum
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import Any
 
 import mpmath
 from scipy.integrate import IntegrationWarning, quad
+
+from sascone.profile import _Root, _lead
 
 mpmath.mp.dps = 30
 
@@ -142,3 +151,106 @@ def sample_columns(root, grid_size: int) -> tuple[tuple[tuple[float, ...], ...],
         + [h0 - 0.5 * (-2.0 * a + g_w * (w - ws[-1])) for w in ws[half:]],
         [-0.5 * (dg_u * u) for u in us],
     ))), dg_u * min(us)
+
+
+def kernel_f(kern, k: float) -> float:
+    """f(k) = F(1; k) as the library summed it in two passes: Q's recursion, then R(1) on its own.
+
+    Q's recursion runs top power first, Q is reversed to sum |Q_j| in ascending order, and R(1) is
+    summed from M_0's top coefficient down, each as `_horner` would; the series builds a `_Root`."""
+    q_steps = tuple((float(e + 1), kern.coeffs[e]) for e in range(kern.params.d_n, -1, -1))
+    if not k:
+        return _Root(kern, k).big_f(1.0)
+    a, b, lead = kern.alpha, kern.beta, _lead(k)
+    q_weight = -(a + b) * lead
+    q, nxt, q_lo, q_hi = [], 0.0, 0.0, 0.0
+    for e, c in q_steps:
+        nxt = (q_weight * c + e * nxt) / k
+        q.append(nxt)
+        q_lo = nxt - q_lo
+        q_hi += nxt
+    q.reverse()
+    if not sum(map(abs, q)) <= kern.bound:
+        return _Root(kern, k).big_f(1.0)
+    u_lo = math.exp(k - abs(k))
+    m0_weight = -lead * (a * u_lo + b * math.exp(-k - abs(k)))
+    r_0 = m0_weight * kern.m0[0] - u_lo * q_lo
+    r_hi = 0.0
+    for m in kern.m0[:0:-1]:
+        r_hi += m0_weight * m
+    return (r_hi + r_0) + math.exp(-k - abs(k)) * q_hi
+
+
+def _format_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot emit non-finite float {x!r}")
+    return format(x, ".17g")
+
+
+def to_jsonable(obj: Any) -> Any:
+    """A record normalised into plain JSON values, the first half of the reference JSON writer."""
+    if isinstance(obj, float) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return obj if -(2**63) <= obj <= 2**63 - 1 else str(obj)
+    if isinstance(obj, str):
+        return obj.value if isinstance(obj, Enum) else obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    fields = getattr(type(obj), "__dataclass_fields__", None) or getattr(type(obj), "_fields", None)
+    if fields is not None:
+        return {name: to_jsonable(getattr(obj, name)) for name in fields}
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        return [to_jsonable(v) for v in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write(value: Any, out: list[str], indent: int) -> None:
+    pad = "  " * indent
+    if isinstance(value, float):
+        out.append(_format_float(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(value):
+            out.append(pad + "  ")
+            _write(item, out, indent + 1)
+            out.append(",\n" if i + 1 < len(value) else "\n")
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(value)
+        for i, key in enumerate(keys):
+            out.append(pad + "  " + encode_basestring_ascii(str(key)) + ": ")
+            _write(value[key], out, indent + 1)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def emit_json(record: Any) -> str:
+    """The reference JSON text of a record: `to_jsonable`, then a walk over the plain values."""
+    out: list[str] = []
+    _write(to_jsonable(record), out, 0)
+    out.append("\n")
+    return "".join(out)

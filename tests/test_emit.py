@@ -3,11 +3,15 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from sascone import (
     BaseManifold,
@@ -276,6 +280,64 @@ def test_json_strings_match_json_dumps(text):
     quoted = json.dumps(text, ensure_ascii=True)
     assert emit_json(text) == quoted + "\n"
     assert emit_json({text: text}) == "{\n  " + quoted + ": " + quoted + "\n}\n"
+
+
+Pair = namedtuple("Pair", "left right")
+
+
+@dataclass(frozen=True)
+class Box:
+    first: object
+    second: object
+
+
+class Opaque:
+    """A type with no JSON rule."""
+
+
+_LEAVES = st.one_of(
+    st.floats(),  # NaN and both infinities included
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**400, True, False, None]),
+    st.text(max_size=4),
+    st.fractions(),
+    st.sampled_from([*RangeKind, *TypeVerdict]),
+    st.builds(Opaque),
+    st.complex_numbers(max_magnitude=2.0),
+)
+_KEYS = st.one_of(st.sampled_from([1, "1", True, 0.5, "0.5", None, RangeKind.EMPTY]), st.integers(-2, 2),
+                  st.text(max_size=2))
+_HASHABLE = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4), st.floats(-2.0, 2.0), st.text(max_size=2))
+_RECORDS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.dictionaries(_KEYS, inner, max_size=5),
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=3).map(tuple),
+    st.frozensets(_HASHABLE, max_size=4),
+    st.sets(st.integers(-9, 9), max_size=4),
+    st.builds(Pair, inner, inner),
+    st.builds(Box, inner, inner),
+), max_leaves=12)
+
+
+def _outcome(emit, record):
+    try:
+        return emit(record)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RECORDS)
+@example({1: 0.5, "1": 2}).via("a later equal key wins")
+@example({"1": Opaque(), 1: 0.5}).via("a hidden value is still converted")
+@example({"a": math.nan, "b": Opaque()}).via("a type error before a float error")
+@example({"a": Opaque(), "b": 1j}).via("the first type in insertion order is named")
+@example(frozenset({1, "a"})).via("an unsortable set")
+@example([math.inf, -math.inf]).via("the first non-finite float is named")
+def test_emit_json_and_to_jsonable_are_the_reference_pair(record):
+    assert _outcome(emit_json, record) == _outcome(oracles.emit_json, record)
+    assert repr(_outcome(to_jsonable, record)) == repr(_outcome(oracles.to_jsonable, record))  # NaN != NaN
 
 
 def test_emit_json_repeatable_bytes():

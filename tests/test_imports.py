@@ -141,3 +141,38 @@ def test_a_call_builds_the_top_parser_and_its_command_only(argv):
 def test_a_batch_builds_one_parser_per_command_it_runs(tmp_path):
     probe = _probe(_batch_argv(tmp_path))
     assert (probe["code"], probe["parsers"]) == (0, 1 + len(EXACT_COMMANDS))
+
+
+# every module main(argv) loads, stdlib included; `before` is taken first, so json counts too
+ALL_MODULES_PROBE = """
+import sys
+before = set(sys.modules)
+from sascone.cli import main
+import io
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+code = main(sys.argv[1:])
+sys.__stdout__.write(" ".join([str(code), *sorted(set(sys.modules) - before)]))
+"""
+
+_EXACT_JSON_MODULES = ("__future__ _decimal _json _locale argparse array decimal fractions gettext json json.decoder "
+                       "json.encoder json.scanner locale numbers sascone sascone.cli sascone.core sascone.emit "
+                       "sascone.errors")
+_METRIC_MODULES = ("__future__ _ast _decimal _json _locale _opcode argparse array ast copy dataclasses decimal dis "
+                   "fractions gettext importlib.machinery inspect json json.decoder json.encoder json.scanner "
+                   "linecache locale numbers opcode sascone sascone.cli sascone.core sascone.emit sascone.errors "
+                   "sascone.profile sascone.quotient token tokenize")
+# what each command loaded before the metric path's emitters and root function were rewritten
+LOADED_MODULES = {
+    "classify": (EXACT_COMMANDS["classify"], _EXACT_JSON_MODULES + " sascone.classifier"),
+    "metric": (["metric", "--m1", "3", "--m2", "2", "--r", "-0.5", "--dN", "1", "--fano-index", "2", "--n", "-4",
+                "--grid", "5"], _METRIC_MODULES),
+    "metric-from-ray": (ONE_COMMAND["metric-from-ray"], _METRIC_MODULES),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the stdlib modules are those of CPython 3.11")
+@pytest.mark.parametrize("argv, modules", LOADED_MODULES.values(), ids=LOADED_MODULES.keys())
+def test_metric_and_json_commands_load_the_same_modules(argv, modules):
+    out = subprocess.run([sys.executable, "-c", ALL_MODULES_PROBE, *argv], capture_output=True, text=True,
+                         check=True, env=child_env()).stdout
+    assert out.split() == ["0", *sorted(modules.split())]

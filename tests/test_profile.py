@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sascone import (
+    BaseManifold,
     BracketFailureError,
     InvalidParameterError,
     NotFanoError,
@@ -18,8 +19,10 @@ from sascone import (
     ProfileParams,
     ProfileSample,
     ReebRay,
+    TypeVerdict,
     VerificationReport,
     build_profile,
+    classify_ray,
     g_dt,
     g_func,
     parse_base,
@@ -32,7 +35,7 @@ import sascone.profile
 from sascone.emit import emit_csv
 from sascone.profile import _K_CAP, _Kernel, _Root, _certify, _lead, _solve_k
 from conftest import CP1, CP2, GENUS2
-from oracles import F_exact, g_raw, quad_f, quad_profile_F, sample_columns, sign_changes
+from oracles import F_exact, g_raw, kernel_f, quad_f, quad_profile_F, sample_columns, sign_changes
 
 ASYM = ProfileParams(m1=3, m2=2, d_n=1, r=-0.5, n=-4, fano_index=2)
 SYM = ProfileParams(m1=1, m2=1, d_n=0, r=0.5, n=1, fano_index=1)
@@ -233,6 +236,44 @@ class TestSolveK:
         m1, m2, d_n, r = params
         diag = _solve_k(_Kernel(ProfileParams(m1, m2, d_n, r, 1 if r > 0 else -1, 1)))
         assert (diag.k.hex(), diag.iterations) == (k_hex, iterations)
+
+    @staticmethod
+    def _golden_rays(rng, join, lower, upper):
+        """24 positive rays of `join`, one per log stratum of v1/v2: 24 strata of (lower, upper) on an
+        interval, else 20 of (lower, 100) and the far rays, two in [100, 1000) and two in [1000, 10**4]."""
+        near = 24 if upper <= 100.0 else 20
+        edges = [lower * (min(upper, 100.0) / lower) ** (i / near) for i in range(near + 1)]
+        strata = [*zip(edges, edges[1:]), *([(100.0, 1000.0), (1000.0, 10.0**4)] * 2 if upper > 100.0 else [])]
+        rays = []
+        for lo, hi in strata:
+            while True:
+                v2 = rng.randint(1, 3 if lo >= 100.0 else 40)
+                v1 = max(1, round(math.exp(rng.uniform(math.log(lo), math.log(hi))) * v2))
+                ray = ReebRay(v1 // math.gcd(v1, v2), v2 // math.gcd(v1, v2))
+                if (ray.v1, ray.v2) != (join.w1, join.w2) and classify_ray(join, ray) is TypeVerdict.POSITIVE:
+                    rays.append(ray)
+                    break
+        return rays
+
+    def test_solve_is_the_reference_root_function_bit_for_bit(self, monkeypatch):
+        # one block of 24 rays per golden family and 200 criterion-4 draws, each solved with f and with
+        # `oracles.kernel_f`, the root function as it was before the closed form and f(1) fused
+        rng = random.Random(31)
+        kernels = []
+        for (l1, l2, w1, w2), p, lower, upper in (((4, 1, 1, 1), 1, 0.5, 2.0), ((1, 1, 7, 1), 1, 5.0, 10**4),
+                                                   ((1, 1, 12, 1), 2, 9.0, 10**4)):
+            join = validate_join(l1, l2, w1, w2, BaseManifold.projective_space(p))
+            rays = self._golden_rays(rng, join, lower, upper)
+            assert len(rays) == 24 and sum(ray.v1 >= 100 * ray.v2 for ray in rays) == (4 if upper > 2 else 0)
+            kernels += [_Kernel(profile_params_from_ray(join, ray)[0]) for ray in rays]
+        for _ in range(200):
+            sign = rng.choice((1, -1))
+            kernels.append(_Kernel(ProfileParams(m1=rng.randint(1, 9), m2=rng.randint(1, 9), d_n=rng.randint(0, 4),
+                                                 r=sign * rng.uniform(0.05, 0.95), n=sign * rng.randint(1, 12),
+                                                 fano_index=rng.randint(1, 4))))
+        solved = [_solve_k(kern) for kern in kernels]
+        monkeypatch.setattr(_Kernel, "f", kernel_f)
+        assert [_solve_k(kern) for kern in kernels] == solved
 
 
 class TestBuildProfile:
